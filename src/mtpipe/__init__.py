@@ -2,7 +2,14 @@
 reference-based machine-translation evaluation."""
 
 from .errors import ToolError
-from .tensorio import Checkpoint, DType, Tensor, read_checkpoint, write_checkpoint
+from .tensorio import (
+    Checkpoint,
+    DType,
+    Tensor,
+    open_checkpoint,
+    read_checkpoint,
+    write_checkpoint,
+)
 from .quant import QuantPolicy, QuantizedTensor, dequantize_fp8, quantize_checkpoint, quantize_fp8
 from .merge import MergeSpec, MissingPolicy, merge_checkpoints, slerp_vec
 from .metrics import (
@@ -72,6 +79,7 @@ __all__ = [
     "filter_parallel_corpus",
     "merge_checkpoints",
     "mix_corpora",
+    "open_checkpoint",
     "parse_verdict",
     "prng_next",
     "quantize_checkpoint",

@@ -127,11 +127,12 @@ def _mark_done(state_path: str | None, fingerprint: str) -> None:
 
 
 def cmd_quantize(args: argparse.Namespace) -> int:
-    ckpt = tensorio.read_checkpoint(args.in_path)
     policy = quant.QuantPolicy(skip_patterns=tuple(args.skip))
-    quantized = quant.quantize_checkpoint(ckpt, policy)
-    tensorio.write_checkpoint(quantized, args.out)
-    for audit in quant.validate_quantization(ckpt, quantized, policy):
+    with tensorio.open_checkpoint(args.in_path) as src:
+        quantized, audits = quant.quantize_stream(src, policy)
+        tensorio.write_checkpoint(quantized, args.out)
+    for name in src.tensors:
+        audit = audits[name]
         if audit.skipped:
             print(f"{audit.name} skipped")
         else:
@@ -139,7 +140,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
                 f"{audit.name} amax={audit.amax:.6g} scale={audit.scale:.6g} "
                 f"max_rel_err={audit.max_rel_err:.3e}"
             )
-    log.info("quantized %d tensors -> %s", len(ckpt.tensors), args.out)
+    log.info("quantized %d tensors -> %s", len(src.tensors), args.out)
     return 0
 
 
@@ -149,10 +150,9 @@ def cmd_merge(args: argparse.Namespace) -> int:
         parallel_eps=args.eps,
         name_policy=merge.MissingPolicy(args.on_missing),
     )
-    merged = merge.merge_checkpoints(
-        tensorio.read_checkpoint(args.a), tensorio.read_checkpoint(args.b), spec
-    )
-    tensorio.write_checkpoint(merged, args.out)
+    with tensorio.open_checkpoint(args.a) as a, tensorio.open_checkpoint(args.b) as b:
+        merged = merge.merge_stream(a, b, spec)
+        tensorio.write_checkpoint(merged, args.out)
     log.info("merged %d tensors at t=%s -> %s", len(merged.tensors), args.t, args.out)
     return 0
 

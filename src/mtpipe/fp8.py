@@ -39,9 +39,6 @@ def _decode_one(code: int) -> float:
 
 DECODE_TABLE = np.array([_decode_one(c) for c in range(256)], dtype=np.float64)
 
-# Non-negative finite values for codes 0x00..0x7E, strictly increasing.
-_POS_GRID = DECODE_TABLE[:NAN_CODE].copy()
-
 
 def decode_e4m3(code: int) -> float:
     """Decode one 8-bit code to its float value (NaN for the NaN codes)."""
@@ -62,24 +59,26 @@ def encode_array(values: np.ndarray) -> np.ndarray:
     Magnitudes above 448 saturate to +-448, NaN maps to the NaN code, and the
     sign of zero is preserved. Total over any float input.
     """
-    v = np.asarray(values, dtype=np.float64)
-    nan_mask = np.isnan(v)
-    neg_mask = np.signbit(v) & ~nan_mask
-    mag = np.abs(np.where(nan_mask, 0.0, v))
-    mag = np.minimum(mag, E4M3_MAX)
-
-    hi = np.searchsorted(_POS_GRID, mag, side="left")
-    hi = np.minimum(hi, len(_POS_GRID) - 1)
-    lo = np.maximum(hi - 1, 0)
-    # 2*mag and grid[lo]+grid[hi] are exact in float64 (few-bit mantissas),
-    # so the midpoint comparison and the tie test are exact.
-    doubled = 2.0 * mag
-    span = _POS_GRID[lo] + _POS_GRID[hi]
-    take_hi = (doubled > span) | ((doubled == span) & (hi % 2 == 0))
-    codes = np.where(take_hi, hi, lo).astype(np.uint8)
-    codes = np.where(neg_mask, codes | 0x80, codes)
-    codes = np.where(nan_mask, np.uint8(NAN_CODE), codes)
-    return codes
+    shape = np.shape(values)
+    v = np.asarray(values, dtype=np.float64).reshape(-1)
+    mag = np.minimum(np.abs(v), E4M3_MAX)
+    # With frexp's exponent e (mag in [2**(e-1), 2**e)), the mantissa step is
+    # 2**(e-4); e is floored at -5, where the subnormal step 2**-9 begins.
+    # Scaling by a power of two is exact, so rint rounds to nearest-even on
+    # the step count n itself, and a carry into the next exponent is the
+    # next code. The code is n + 8*e + 40; NaN lanes are overwritten below.
+    _, shift = np.frexp(np.maximum(mag, 2.0**-6))
+    np.subtract(4, shift, out=shift)
+    with np.errstate(invalid="ignore"):
+        n = np.ldexp(mag, shift, out=mag)
+        np.rint(n, out=n)
+        shift *= -8
+        shift += 72
+        n += shift
+        codes = n.astype(np.uint8)
+    codes |= np.signbit(v).view(np.uint8) << 7
+    codes[np.isnan(v)] = NAN_CODE
+    return codes.reshape(shape)
 
 
 def encode_e4m3(x: float) -> int:

@@ -9,11 +9,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .errors import ToolError
-from .tensorio import Checkpoint, DType, Tensor, tensor_as_f64, tensor_from_f64
+from .quant import SCALE_SUFFIX, NameCollision, scale_of
+from .tensorio import (
+    Checkpoint,
+    DType,
+    Tensor,
+    TensorInfo,
+    TensorStream,
+    chunks,
+    tensor_as_f64,
+    tensor_from_f64,
+)
 
 
 class ShapeMismatch(ToolError):
@@ -50,12 +62,16 @@ class MergeSpec:
             raise ValueError("parallel_eps must be positive")
 
 
-def slerp_vec(a: np.ndarray, b: np.ndarray, t: float, eps: float = 1e-8) -> np.ndarray:
+def slerp_vec(
+    a: np.ndarray, b: np.ndarray, t: float, eps: float = 1e-8, out: np.ndarray | None = None
+) -> np.ndarray:
     """Interpolate between two equal-length vectors along their arc.
 
     Falls back to linear interpolation when either vector is zero or the
     subtended angle is numerically degenerate (sin of the angle below eps),
-    so antiparallel and near-parallel inputs never produce NaN.
+    so antiparallel and near-parallel inputs never produce NaN. The result
+    goes to ``out`` when given, which may be ``a`` itself: the elementwise
+    combine runs a chunk at a time, so it needs no full-size temporaries.
     """
     if not 0.0 <= t <= 1.0:
         raise TOutOfRange(f"t must lie in [0, 1], got {t}")
@@ -64,23 +80,25 @@ def slerp_vec(a: np.ndarray, b: np.ndarray, t: float, eps: float = 1e-8) -> np.n
     if a.shape != b.shape or a.size == 0:
         raise ShapeMismatch(f"vector lengths {a.size} and {b.size}")
 
+    coeff_a, coeff_b = 1.0 - t, t
     norm_a = float(np.linalg.norm(a))
     norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return (1.0 - t) * a + t * b
-    cos_omega = float(np.clip(np.dot(a, b) / (norm_a * norm_b), -1.0, 1.0))
-    omega = float(np.arccos(cos_omega))
-    sin_omega = float(np.sin(omega))
-    if sin_omega < eps:
-        return (1.0 - t) * a + t * b
-    # Scalar coefficients first: at t=0 the pair is exactly (1, 0), so the
-    # endpoint identities hold bitwise.
-    coeff_a = float(np.sin((1.0 - t) * omega)) / sin_omega
-    coeff_b = float(np.sin(t * omega)) / sin_omega
-    return coeff_a * a + coeff_b * b
+    if norm_a != 0.0 and norm_b != 0.0:
+        cos_omega = float(np.clip(np.dot(a, b) / (norm_a * norm_b), -1.0, 1.0))
+        omega = float(np.arccos(cos_omega))
+        sin_omega = float(np.sin(omega))
+        if sin_omega >= eps:
+            # Scalar coefficients first: at t=0 the pair is exactly (1, 0), so
+            # the endpoint identities hold bitwise.
+            coeff_a = float(np.sin((1.0 - t) * omega)) / sin_omega
+            coeff_b = float(np.sin(t * omega)) / sin_omega
 
-
-_WIDTH = {DType.F32: 4, DType.F16: 2, DType.BF16: 2}
+    if out is None:
+        out = np.empty_like(a)
+    for s in chunks(a.size):
+        np.multiply(a[s], coeff_a, out=out[s])
+        out[s] += coeff_b * b[s]
+    return out
 
 
 def _output_dtype(da: DType, db: DType) -> DType:
@@ -89,43 +107,91 @@ def _output_dtype(da: DType, db: DType) -> DType:
     db = DType.F32 if db is DType.F8_E4M3 else db
     if da is db:
         return da
-    if _WIDTH[da] != _WIDTH[db]:
-        return da if _WIDTH[da] > _WIDTH[db] else db
+    if da.itemsize != db.itemsize:
+        return da if da.itemsize > db.itemsize else db
     # Equal width but different layouts (F16 vs BF16): widen to F32 so
     # neither side loses range or precision.
     return DType.F32
 
 
-def merge_checkpoints(x: Checkpoint, y: Checkpoint, spec: MergeSpec) -> Checkpoint:
-    """Merge two checkpoints at the given interpolation weight.
+def _weights(src) -> dict[str, str | None]:
+    """Names to merge, each mapped to the scale companion that dequantizes it.
 
-    Matching tensors must agree on shape. Tensors present in only one input
-    are an error under MissingPolicy.ERROR or copied verbatim under
-    MissingPolicy.COPY. Output metadata records the interpolation weight.
+    An 8-bit tensor's ``<name>.scale`` is consumed with it rather than
+    merged; an 8-bit tensor without one is taken at scale 1.
     """
-    out: dict[str, Tensor] = {}
-    names = sorted(set(x.tensors) | set(y.tensors))
-    for name in names:
-        tx = x.tensors.get(name)
-        ty = y.tensors.get(name)
-        if tx is None or ty is None:
+    weights: dict[str, str | None] = {}
+    companions = set()
+    for name, info in src.tensors.items():
+        scale_name = f"{name}{SCALE_SUFFIX}"
+        if info.dtype is DType.F8_E4M3 and scale_name in src.tensors:
+            scale = src.tensors[scale_name]
+            if scale.dtype is not DType.F32 or scale.numel != 1:
+                raise ShapeMismatch(f"{scale_name!r} must be one float32 value")
+            weights[name] = scale_name
+            companions.add(scale_name)
+        else:
+            weights[name] = None
+    return {name: c for name, c in weights.items() if name not in companions}
+
+
+def _dequantized(src, name: str, scale_name: str | None) -> np.ndarray:
+    values = tensor_as_f64(src.read(name))
+    if scale_name is not None:
+        values *= scale_of(src.read(scale_name))
+    return values
+
+
+def merge_stream(x, y, spec: MergeSpec) -> TensorStream:
+    """Merge two checkpoints one tensor at a time.
+
+    ``x`` and ``y`` are Checkpoints or open CheckpointFiles. Every check that
+    needs no payload (missing names, shapes, scales) runs before this
+    returns. Matching tensors must agree on shape; 8-bit ones are
+    dequantized by their scales and merge to float32 without a ``.scale``.
+    Tensors present in only one input are an error under MissingPolicy.ERROR
+    or copied verbatim, with their scale, under MissingPolicy.COPY. Output
+    metadata records the interpolation weight.
+    """
+    wx, wy = _weights(x), _weights(y)
+    infos: dict[str, TensorInfo] = {}
+    producers: dict[str, Callable[[], Tensor]] = {}
+    names = wx.keys() | wy.keys()
+    for name in sorted(names):
+        if name not in wx or name not in wy:
             if spec.name_policy is MissingPolicy.ERROR:
-                side = "first" if tx is None else "second"
+                side = "first" if name not in wx else "second"
                 raise MissingTensor(f"{name!r} missing from the {side} checkpoint")
-            out[name] = tx if ty is None else ty
+            src, scale_name = (x, wx[name]) if name in wx else (y, wy[name])
+            if scale_name in names:
+                raise NameCollision(f"output name {scale_name!r} produced twice")
+            for copied in filter(None, (name, scale_name)):
+                infos[copied] = src.tensors[copied]
+                producers[copied] = partial(src.read, copied)
             continue
-        if tx.shape != ty.shape:
-            raise ShapeMismatch(
-                f"{name!r}: {list(tx.shape)} vs {list(ty.shape)}"
-            )
-        dtype = _output_dtype(tx.dtype, ty.dtype)
-        if tx.numel == 0:
-            out[name] = Tensor(dtype, tx.shape, b"")
-            continue
-        merged = slerp_vec(tensor_as_f64(tx), tensor_as_f64(ty), spec.t, spec.parallel_eps)
-        out[name] = tensor_from_f64(merged, dtype, tx.shape)
+        ix, iy = x.tensors[name], y.tensors[name]
+        if ix.shape != iy.shape:
+            raise ShapeMismatch(f"{name!r}: {list(ix.shape)} vs {list(iy.shape)}")
+        infos[name] = TensorInfo(_output_dtype(ix.dtype, iy.dtype), ix.shape)
+        producers[name] = partial(_merge_one, x, y, name, wx[name], wy[name], infos[name], spec)
 
     metadata = dict(x.metadata)
     metadata.update(y.metadata)
     metadata["merge_t"] = repr(spec.t)
-    return Checkpoint(tensors=out, metadata=metadata)
+    return TensorStream(infos, metadata, (producers[n]() for n in sorted(producers)))
+
+
+def _merge_one(x, y, name: str, scale_x: str | None, scale_y: str | None,
+               info: TensorInfo, spec: MergeSpec) -> Tensor:
+    if info.numel == 0:
+        return Tensor(info.dtype, info.shape, b"")
+    a = _dequantized(x, name, scale_x)
+    b = _dequantized(y, name, scale_y)
+    merged = slerp_vec(a, b, spec.t, spec.parallel_eps, out=a)
+    del b
+    return tensor_from_f64(merged, info.dtype, info.shape)
+
+
+def merge_checkpoints(x: Checkpoint, y: Checkpoint, spec: MergeSpec) -> Checkpoint:
+    """Merge two checkpoints at the given interpolation weight (see merge_stream)."""
+    return merge_stream(x, y, spec).collect()

@@ -10,13 +10,23 @@ from __future__ import annotations
 
 import fnmatch
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from . import fp8
 from .errors import ToolError
 from .fp8 import NonFiniteInput, compute_scale
-from .tensorio import Checkpoint, DType, Tensor, tensor_as_f64
+from .tensorio import (
+    Checkpoint,
+    DType,
+    Tensor,
+    TensorInfo,
+    TensorStream,
+    chunks,
+    f64_chunks,
+    tensor_as_f64,
+)
 
 SCALE_SUFFIX = ".scale"
 
@@ -65,14 +75,20 @@ def quantize_fp8(t: Tensor) -> QuantizedTensor:
     if values.size and not np.isfinite(values).all():
         raise NonFiniteInput("quantization requires finite elements")
     scale = float(np.float32(compute_scale(values)))
-    codes = fp8.encode_array(values / scale)
+    codes = np.empty(values.size, dtype=np.uint8)
+    for s in chunks(values.size):
+        codes[s] = fp8.encode_array(values[s] / scale)
     return QuantizedTensor(Tensor(DType.F8_E4M3, t.shape, codes.tobytes()), scale)
+
+
+def _dequantize(codes: np.ndarray, scale: float) -> np.ndarray:
+    return (fp8.decode_array(codes) * scale).astype("<f4")
 
 
 def dequantize_fp8(q: QuantizedTensor) -> Tensor:
     """Reconstruct a float32 tensor as decode(code) * scale."""
-    values = fp8.decode_array(np.frombuffer(q.codes.data, dtype=np.uint8)) * q.scale
-    return Tensor(DType.F32, q.codes.shape, values.astype("<f4").tobytes())
+    values = _dequantize(np.frombuffer(q.codes.data, dtype=np.uint8), q.scale)
+    return Tensor(DType.F32, q.codes.shape, values.tobytes())
 
 
 def _scale_tensor(scale: float) -> Tensor:
@@ -82,32 +98,6 @@ def _scale_tensor(scale: float) -> Tensor:
 def scale_of(t: Tensor) -> float:
     """Read the scale value out of a scalar float32 companion tensor."""
     return float(np.frombuffer(t.data, dtype="<f4")[0])
-
-
-def quantize_checkpoint(ckpt: Checkpoint, policy: QuantPolicy) -> Checkpoint:
-    """Quantize every tensor the policy does not skip; skipped tensors copy
-    through verbatim. The policy is recorded in the output metadata."""
-    out: dict[str, Tensor] = {}
-
-    def insert(name: str, tensor: Tensor) -> None:
-        if name in out:
-            raise NameCollision(f"output name {name!r} produced twice")
-        out[name] = tensor
-
-    for name, t in ckpt.tensors.items():
-        if policy.skips(name):
-            insert(name, t)
-            continue
-        if f"{name}{SCALE_SUFFIX}" in ckpt.tensors:
-            raise NameCollision(f"{name}{SCALE_SUFFIX!r} already exists in the input")
-        q = quantize_fp8(t)
-        insert(name, q.codes)
-        insert(f"{name}{SCALE_SUFFIX}", _scale_tensor(q.scale))
-
-    metadata = dict(ckpt.metadata)
-    metadata["quantization"] = "fp8-e4m3-dynamic"
-    metadata["quantization_skip"] = ",".join(policy.skip_patterns)
-    return Checkpoint(tensors=out, metadata=metadata)
 
 
 @dataclass(frozen=True)
@@ -121,29 +111,92 @@ class TensorAudit:
     skipped: bool = False
 
 
-def validate_quantization(
-    original: Checkpoint, quantized: Checkpoint, policy: QuantPolicy
-) -> list[TensorAudit]:
-    """Audit dequantization error tensor by tensor.
+def audit_tensor(name: str, original: Tensor, q: QuantizedTensor | None) -> TensorAudit:
+    """Audit one tensor's dequantization error; ``q`` is None when it was skipped.
 
     ``max_rel_err`` is taken over elements at or above ``scale * 2**-6``
     (the smallest normal magnitude); smaller elements see absolute rather
-    than relative rounding and are excluded.
+    than relative rounding and are excluded. Runs a chunk at a time.
     """
-    audits: list[TensorAudit] = []
-    for name, t in original.tensors.items():
-        values = tensor_as_f64(t)
-        amax = float(np.max(np.abs(values))) if values.size else 0.0
-        if policy.skips(name):
-            audits.append(TensorAudit(name, amax, 1.0, 0.0, skipped=True))
+    amax, max_rel = 0.0, 0.0
+    scale = q.scale if q is not None else 1.0
+    codes = np.frombuffer(q.codes.data, dtype=np.uint8) if q is not None else None
+    for s, values in zip(chunks(original.numel), f64_chunks(original)):
+        amax = float(np.maximum(amax, np.max(np.abs(values))))
+        if codes is None:
             continue
-        scale = scale_of(quantized.tensors[f"{name}{SCALE_SUFFIX}"])
-        restored = tensor_as_f64(dequantize_fp8(QuantizedTensor(quantized.tensors[name], scale)))
+        restored = _dequantize(codes[s], scale).astype(np.float64)
         mask = np.abs(values) >= scale * 2.0**-6
         if mask.any():
             rel = np.abs(restored[mask] - values[mask]) / np.abs(values[mask])
-            max_rel = float(rel.max())
-        else:
-            max_rel = 0.0
-        audits.append(TensorAudit(name, amax, scale, max_rel))
+            max_rel = max(max_rel, float(rel.max()))
+    return TensorAudit(name, amax, scale, max_rel, skipped=q is None)
+
+
+def quantize_stream(src, policy: QuantPolicy) -> tuple[TensorStream, dict[str, TensorAudit]]:
+    """Quantize a checkpoint one tensor at a time.
+
+    ``src`` is a Checkpoint or an open CheckpointFile. Every check that needs
+    no payload runs before this returns. Tensors the policy skips copy through
+    verbatim. Each tensor's audit lands in the returned dict as its payload is
+    produced. The policy is recorded in the output metadata.
+    """
+    infos: dict[str, TensorInfo] = {}
+    scale_names: dict[str, str] = {}
+    for name, info in src.tensors.items():
+        if policy.skips(name):
+            infos[name] = info
+            continue
+        scale_name = f"{name}{SCALE_SUFFIX}"
+        if scale_name in src.tensors:
+            raise NameCollision(f"{scale_name!r} already exists in the input")
+        if info.dtype is DType.F8_E4M3:
+            raise AlreadyQuantized(f"{name!r} already carries 8-bit codes")
+        infos[name] = TensorInfo(DType.F8_E4M3, info.shape)
+        infos[scale_name] = TensorInfo(DType.F32, ())
+        scale_names[scale_name] = name
+
+    audits: dict[str, TensorAudit] = {}
+
+    def payloads() -> Iterator[Tensor]:
+        scales: dict[str, float] = {}
+        # Sorted order puts every name before its own ``.scale``.
+        for name in sorted(infos):
+            if name in scale_names:
+                yield _scale_tensor(scales.pop(scale_names[name]))
+                continue
+            t = src.read(name)
+            if policy.skips(name):
+                audits[name] = audit_tensor(name, t, None)
+                yield t
+                continue
+            q = quantize_fp8(t)
+            audits[name] = audit_tensor(name, t, q)
+            scales[name] = q.scale
+            yield q.codes
+
+    metadata = dict(src.metadata)
+    metadata["quantization"] = "fp8-e4m3-dynamic"
+    metadata["quantization_skip"] = ",".join(policy.skip_patterns)
+    return TensorStream(infos, metadata, payloads()), audits
+
+
+def quantize_checkpoint(ckpt: Checkpoint, policy: QuantPolicy) -> Checkpoint:
+    """Quantize every tensor the policy does not skip; skipped tensors copy
+    through verbatim. The policy is recorded in the output metadata."""
+    stream, _ = quantize_stream(ckpt, policy)
+    return stream.collect()
+
+
+def validate_quantization(
+    original: Checkpoint, quantized: Checkpoint, policy: QuantPolicy
+) -> list[TensorAudit]:
+    """Audit dequantization error tensor by tensor (see audit_tensor)."""
+    audits: list[TensorAudit] = []
+    for name, t in original.tensors.items():
+        q = None
+        if not policy.skips(name):
+            scale = scale_of(quantized.tensors[f"{name}{SCALE_SUFFIX}"])
+            q = QuantizedTensor(quantized.tensors[name], scale)
+        audits.append(audit_tensor(name, t, q))
     return audits

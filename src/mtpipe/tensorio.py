@@ -6,16 +6,24 @@ offsets relative to the start of the data section, plus an optional
 "__metadata__" string map. Writes are deterministic: tensor entries are
 serialized with names in sorted order and payloads packed in that same order,
 so two writes of the same checkpoint are byte-identical.
+
+Both directions work one tensor at a time. ``open_checkpoint`` validates the
+header and reads each payload only when asked for it; ``write_checkpoint``
+builds the header from dtypes and shapes alone and then pulls payloads one by
+one, so a ``TensorStream`` is written without the whole model in memory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -24,6 +32,11 @@ from .errors import ToolError
 
 # Defends against hostile length prefixes.
 MAX_HEADER_BYTES = 100 * 1024 * 1024
+
+# Elements per step of the elementwise encode/decode loops: large enough that
+# numpy call overhead vanishes, small enough that the float64 temporaries stay
+# a few MB whatever the tensor size.
+CHUNK_ELEMS = 1 << 18
 
 
 class HeaderTooLarge(ToolError):
@@ -67,22 +80,15 @@ _ITEMSIZE = {DType.F32: 4, DType.F16: 2, DType.BF16: 2, DType.F8_E4M3: 1}
 
 
 @dataclass(frozen=True)
-class Tensor:
-    """Typed, shaped, little-endian row-major payload."""
+class TensorInfo:
+    """Dtype and shape of a tensor: what the header says about it."""
 
     dtype: DType
     shape: tuple[int, ...]
-    data: bytes
 
     def __post_init__(self) -> None:
         if any(d < 0 for d in self.shape):
             raise ValueError(f"negative extent in shape {self.shape}")
-        expected = self.numel * self.dtype.itemsize
-        if len(self.data) != expected:
-            raise ValueError(
-                f"payload is {len(self.data)} bytes, expected {expected} "
-                f"for {self.dtype.value} {list(self.shape)}"
-            )
 
     @property
     def numel(self) -> int:
@@ -91,7 +97,22 @@ class Tensor:
 
     @property
     def nbytes(self) -> int:
-        return len(self.data)
+        return self.numel * self.dtype.itemsize
+
+
+@dataclass(frozen=True)
+class Tensor(TensorInfo):
+    """Typed, shaped, little-endian row-major payload."""
+
+    data: bytes
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if len(self.data) != self.nbytes:
+            raise ValueError(
+                f"payload is {len(self.data)} bytes, expected {self.nbytes} "
+                f"for {self.dtype.value} {list(self.shape)}"
+            )
 
 
 @dataclass
@@ -101,19 +122,90 @@ class Checkpoint:
     tensors: dict[str, Tensor] = field(default_factory=dict)
     metadata: dict[str, str] = field(default_factory=dict)
 
+    def read(self, name: str) -> Tensor:
+        """The named tensor, as CheckpointFile.read gives it from a file."""
+        return self.tensors[name]
+
+
+@dataclass
+class TensorStream:
+    """A checkpoint produced one tensor at a time.
+
+    ``tensors`` gives every output tensor's dtype and shape before any payload
+    exists; ``payloads`` yields the tensors themselves in sorted-name order.
+    """
+
+    tensors: dict[str, TensorInfo]
+    metadata: dict[str, str]
+    payloads: Iterator[Tensor]
+
+    def items(self) -> Iterator[tuple[str, Tensor]]:
+        """Pull (name, tensor) pairs in sorted-name order, each checked
+        against the dtype and shape announced for it."""
+        for name in sorted(self.tensors):
+            tensor = next(self.payloads)
+            info = self.tensors[name]
+            if (tensor.dtype, tensor.shape) != (info.dtype, info.shape):
+                raise ValueError(
+                    f"{name!r}: produced {tensor.dtype.value} {list(tensor.shape)}, "
+                    f"announced {info.dtype.value} {list(info.shape)}"
+                )
+            yield name, tensor
+
+    def collect(self) -> Checkpoint:
+        return Checkpoint(tensors=dict(self.items()), metadata=dict(self.metadata))
+
+
+def chunks(n: int) -> Iterator[slice]:
+    """Slices covering range(n) in steps of CHUNK_ELEMS."""
+    for start in range(0, n, CHUNK_ELEMS):
+        yield slice(start, start + CHUNK_ELEMS)
+
+
+def _decode(buf, dtype: DType) -> np.ndarray:
+    if dtype is DType.F32:
+        return np.frombuffer(buf, dtype="<f4").astype(np.float64)
+    if dtype is DType.F16:
+        return np.frombuffer(buf, dtype="<f2").astype(np.float64)
+    if dtype is DType.BF16:
+        bits = np.frombuffer(buf, dtype="<u2").astype(np.uint32) << 16
+        return bits.view(np.float32).astype(np.float64)
+    if dtype is DType.F8_E4M3:
+        return fp8.decode_array(np.frombuffer(buf, dtype=np.uint8))
+    raise UnsupportedDType(str(dtype))
+
 
 def tensor_as_f64(t: Tensor) -> np.ndarray:
     """Decode a tensor's payload to a flat float64 array, NaNs preserved."""
-    if t.dtype is DType.F32:
-        return np.frombuffer(t.data, dtype="<f4").astype(np.float64)
-    if t.dtype is DType.F16:
-        return np.frombuffer(t.data, dtype="<f2").astype(np.float64)
-    if t.dtype is DType.BF16:
-        bits = np.frombuffer(t.data, dtype="<u2").astype(np.uint32) << 16
-        return bits.view(np.float32).astype(np.float64)
-    if t.dtype is DType.F8_E4M3:
-        return fp8.decode_array(np.frombuffer(t.data, dtype=np.uint8))
-    raise UnsupportedDType(str(t.dtype))
+    out = np.empty(t.numel, dtype=np.float64)
+    for s, values in zip(chunks(t.numel), f64_chunks(t)):
+        out[s] = values
+    return out
+
+
+def f64_chunks(t: Tensor) -> Iterator[np.ndarray]:
+    """Decode a tensor to float64 CHUNK_ELEMS elements at a time, in order."""
+    view = memoryview(t.data)
+    step = CHUNK_ELEMS * t.dtype.itemsize
+    for start in range(0, len(view), step):
+        yield _decode(view[start : start + step], t.dtype)
+
+
+def _encode(flat: np.ndarray, dtype: DType) -> np.ndarray:
+    if dtype is DType.F32:
+        return flat.astype("<f4")
+    if dtype is DType.F16:
+        return np.clip(flat, -65504.0, 65504.0).astype("<f2")
+    if dtype is DType.BF16:
+        f32 = flat.astype(np.float32)
+        bits = f32.view(np.uint32)
+        rounded = (bits + 0x7FFF + ((bits >> 16) & 1)) >> 16
+        top = bits >> 16
+        nan = np.isnan(f32)
+        return np.where(nan, top | 0x0040, rounded).astype("<u2")
+    if dtype is DType.F8_E4M3:
+        return fp8.encode_array(flat)
+    raise UnsupportedDType(str(dtype))
 
 
 def tensor_from_f64(values: np.ndarray, dtype: DType, shape: tuple[int, ...]) -> Tensor:
@@ -122,28 +214,17 @@ def tensor_from_f64(values: np.ndarray, dtype: DType, shape: tuple[int, ...]) ->
     F32/F16 use the hardware round-to-nearest-even conversion, BF16 rounds the
     float32 bit pattern to nearest-even, F8 goes through the 8-bit codec. F16
     saturates at its largest finite magnitude rather than producing infinity.
+    Encoding runs a chunk at a time into the output buffer.
     """
     flat = np.asarray(values, dtype=np.float64).reshape(-1)
     if flat.size != math.prod(shape):
         raise ValueError(f"{flat.size} values cannot fill shape {list(shape)}")
-    if dtype is DType.F32:
-        data = flat.astype("<f4").tobytes()
-    elif dtype is DType.F16:
-        clipped = np.clip(flat, -65504.0, 65504.0)
-        data = clipped.astype("<f2").tobytes()
-    elif dtype is DType.BF16:
-        f32 = flat.astype(np.float32)
-        bits = f32.view(np.uint32)
-        rounded = (bits + 0x7FFF + ((bits >> 16) & 1)) >> 16
-        top = bits >> 16
-        nan = np.isnan(f32)
-        out = np.where(nan, top | 0x0040, rounded).astype("<u2")
-        data = out.tobytes()
-    elif dtype is DType.F8_E4M3:
-        data = fp8.encode_array(flat).tobytes()
-    else:
-        raise UnsupportedDType(str(dtype))
-    return Tensor(dtype, tuple(shape), data)
+    width = dtype.itemsize
+    out = np.empty(flat.size * width, dtype=np.uint8)
+    for s in chunks(flat.size):
+        encoded = _encode(flat[s], dtype).view(np.uint8)
+        out[s.start * width : s.start * width + encoded.size] = encoded
+    return Tensor(dtype, tuple(shape), out.tobytes())
 
 
 def _parse_header(blob: bytes) -> dict:
@@ -156,23 +237,84 @@ def _parse_header(blob: bytes) -> dict:
     return header
 
 
-def read_checkpoint(path: str | Path) -> Checkpoint:
-    """Parse a checkpoint file, validating the offset table before returning.
+def _pread(fd: int, n: int, offset: int, path) -> bytes:
+    """Read exactly n bytes at offset; a file that ends early is an IoFailure."""
+    parts = []
+    while n > 0:
+        try:
+            part = os.pread(fd, n, offset)
+        except OSError as exc:
+            raise IoFailure(f"cannot read {path}: {exc}") from exc
+        if not part:
+            raise IoFailure(f"{path} ends {n} bytes short of byte {offset + n}")
+        parts.append(part)
+        n -= len(part)
+        offset += len(part)
+    return parts[0] if len(parts) == 1 else b"".join(parts)
 
-    Raises HeaderTooLarge, MalformedHeader, OffsetViolation or
-    UnsupportedDType; a malformed file never yields a partial checkpoint.
+
+@dataclass
+class CheckpointFile:
+    """An open checkpoint whose header and offset table are validated.
+
+    ``tensors`` maps each name to its dtype and shape in header order, and
+    ``offsets`` to where its payload starts in the file; ``read`` fetches one
+    payload. Close it, or use it as a context manager, to release ``fd``.
+    """
+
+    path: str | Path
+    fd: int
+    tensors: dict[str, TensorInfo]
+    offsets: dict[str, int]
+    metadata: dict[str, str]
+
+    def read(self, name: str) -> Tensor:
+        info = self.tensors[name]
+        data = _pread(self.fd, info.nbytes, self.offsets[name], self.path)
+        return Tensor(info.dtype, info.shape, data)
+
+    def close(self) -> None:
+        if self.fd >= 0:
+            os.close(self.fd)
+            self.fd = -1
+
+    def __enter__(self) -> CheckpointFile:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def open_checkpoint(path: str | Path) -> CheckpointFile:
+    """Open a checkpoint file, reading and validating only its header.
+
+    Raises HeaderTooLarge, MalformedHeader, OffsetViolation, UnsupportedDType
+    or IoFailure; a malformed file is never opened.
     """
     try:
-        raw = Path(path).read_bytes()
+        fd = os.open(path, os.O_RDONLY)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if len(raw) < 8:
+    try:
+        return _validate(path, fd)
+    except BaseException:
+        os.close(fd)
+        raise
+
+
+def _validate(path, fd: int) -> CheckpointFile:
+    try:
+        size = os.fstat(fd).st_size
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    if size < 8:
         raise MalformedHeader("file shorter than the 8-byte length prefix")
-    (header_len,) = struct.unpack("<Q", raw[:8])
-    if header_len > MAX_HEADER_BYTES or 8 + header_len > len(raw):
+    (header_len,) = struct.unpack("<Q", _pread(fd, 8, 0, path))
+    if header_len > MAX_HEADER_BYTES or 8 + header_len > size:
         raise HeaderTooLarge(f"declared header length {header_len} exceeds limits")
-    header = _parse_header(raw[8 : 8 + header_len])
-    data = raw[8 + header_len :]
+    header = _parse_header(_pread(fd, header_len, 8, path))
+    data_start = 8 + header_len
+    data_len = size - data_start
 
     metadata_raw = header.pop("__metadata__", {})
     if not isinstance(metadata_raw, dict) or not all(
@@ -180,7 +322,8 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
     ):
         raise MalformedHeader("__metadata__ must map strings to strings")
 
-    tensors: dict[str, Tensor] = {}
+    tensors: dict[str, TensorInfo] = {}
+    offsets: dict[str, int] = {}
     spans: list[tuple[int, int, str]] = []
     for name, meta in header.items():
         if not name:
@@ -199,15 +342,15 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
             isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape
         ):
             raise MalformedHeader(f"entry for {name!r} has invalid shape {shape!r}")
-        offsets = meta["data_offsets"]
+        offsets_raw = meta["data_offsets"]
         if (
-            not isinstance(offsets, list)
-            or len(offsets) != 2
-            or not all(isinstance(o, int) and not isinstance(o, bool) for o in offsets)
+            not isinstance(offsets_raw, list)
+            or len(offsets_raw) != 2
+            or not all(isinstance(o, int) and not isinstance(o, bool) for o in offsets_raw)
         ):
             raise MalformedHeader(f"entry for {name!r} has invalid data_offsets")
-        begin, end = offsets
-        if not 0 <= begin <= end <= len(data):
+        begin, end = offsets_raw
+        if not 0 <= begin <= end <= data_len:
             raise OffsetViolation(f"{name!r}: offsets [{begin}, {end}] out of range")
         expected = math.prod(shape) * dtype.itemsize
         if end - begin != expected:
@@ -215,7 +358,8 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
                 f"{name!r}: span {end - begin} bytes, dtype/shape need {expected}"
             )
         spans.append((begin, end, name))
-        tensors[name] = Tensor(dtype, tuple(shape), data[begin:end])
+        tensors[name] = TensorInfo(dtype, tuple(shape))
+        offsets[name] = data_start + begin
 
     spans.sort()
     cursor = 0
@@ -224,42 +368,70 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
             kind = "overlap" if begin < cursor else "gap"
             raise OffsetViolation(f"{kind} at byte {begin} (tensor {name!r})")
         cursor = end
-    if cursor != len(data):
+    if cursor != data_len:
         raise OffsetViolation(
-            f"data buffer is {len(data)} bytes but offsets cover {cursor}"
+            f"data buffer is {data_len} bytes but offsets cover {cursor}"
         )
 
-    return Checkpoint(tensors=tensors, metadata=dict(metadata_raw))
+    return CheckpointFile(path, fd, tensors, offsets, dict(metadata_raw))
 
 
-def write_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Serialize a checkpoint; rereading the file yields an equal checkpoint."""
+def read_checkpoint(path: str | Path) -> Checkpoint:
+    """Parse a checkpoint file, validating the offset table before returning.
+
+    Raises HeaderTooLarge, MalformedHeader, OffsetViolation, UnsupportedDType
+    or IoFailure; a malformed file never yields a partial checkpoint.
+    """
+    with open_checkpoint(path) as src:
+        return Checkpoint(
+            tensors={name: src.read(name) for name in src.tensors},
+            metadata=src.metadata,
+        )
+
+
+def write_checkpoint(ckpt: Checkpoint | TensorStream, path: str | Path) -> None:
+    """Serialize a checkpoint; rereading the file yields an equal checkpoint.
+
+    The file is written as ``<path>.tmp`` beside its destination and renamed
+    over ``path`` only when complete. If writing fails, or producing a payload
+    raises, neither the temp file nor a partial ``path`` is left behind.
+    """
+    if isinstance(ckpt, Checkpoint):
+        tensors = ckpt.tensors
+        ckpt = TensorStream(tensors, ckpt.metadata, (tensors[n] for n in sorted(tensors)))
     for name in ckpt.tensors:
         if not name:
             raise EmptyName("tensor names must be non-empty")
 
-    names = sorted(ckpt.tensors)
     header: dict[str, object] = {}
     if ckpt.metadata:
         header["__metadata__"] = {k: ckpt.metadata[k] for k in sorted(ckpt.metadata)}
     offset = 0
-    for name in names:
-        t = ckpt.tensors[name]
+    for name in sorted(ckpt.tensors):
+        info = ckpt.tensors[name]
         header[name] = {
-            "dtype": t.dtype.value,
-            "shape": list(t.shape),
-            "data_offsets": [offset, offset + t.nbytes],
+            "dtype": info.dtype.value,
+            "shape": list(info.shape),
+            "data_offsets": [offset, offset + info.nbytes],
         }
-        offset += t.nbytes
+        offset += info.nbytes
 
     header_bytes = json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode(
         "utf-8"
     )
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<Q", len(header_bytes)))
-            fh.write(header_bytes)
-            for name in names:
-                fh.write(ckpt.tensors[name].data)
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(struct.pack("<Q", len(header_bytes)))
+                fh.write(header_bytes)
+                for _, tensor in ckpt.items():
+                    fh.write(tensor.data)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc

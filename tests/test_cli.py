@@ -82,6 +82,30 @@ def test_quantize_command(tmp_path, rng, capsys):
     assert "w.scale" in quantized.tensors
 
 
+def test_quantize_failure_in_a_late_tensor_leaves_no_output(tmp_path, rng):
+    src = tmp_path / "model.safetensors"
+    tensors = {
+        name: tensor_from_f64(rng.normal(size=16), DType.F32, (16,)) for name in ("a", "b")
+    }
+    tensors["z"] = tensor_from_f64(np.array([1.0, np.inf]), DType.F32, (2,))
+    tio.write_checkpoint(Checkpoint(tensors=tensors), src)
+    out = tmp_path / "model-fp8.safetensors"
+    assert run_cli(["quantize", "--in", str(src), "--out", str(out)]) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["model.safetensors"]
+
+
+def test_quantize_in_place_matches_a_separate_output(tmp_path, rng, capsys):
+    src = tmp_path / "model.safetensors"
+    _write_checkpoint(src, rng)
+    out = tmp_path / "model-fp8.safetensors"
+    assert run_cli(["quantize", "--in", str(src), "--out", str(out)]) == 0
+    audit = capsys.readouterr().out
+    assert run_cli(["quantize", "--in", str(src), "--out", str(src)]) == 0
+    assert capsys.readouterr().out == audit
+    assert src.read_bytes() == out.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [out.name, src.name]
+
+
 def test_score_identical_files(tmp_path, capsys):
     hyp = tmp_path / "hyp.txt"
     ref = tmp_path / "ref.txt"

@@ -112,3 +112,36 @@ def test_encode_array_matches_scalar_encode(rng):
     values = rng.uniform(-500.0, 500.0, size=257)
     codes = fp8.encode_array(values)
     assert [int(c) for c in codes] == [fp8.encode_e4m3(float(v)) for v in values]
+
+
+def searchsorted_encode(values: np.ndarray) -> np.ndarray:
+    """The grid-search encoder ``fp8.encode_array`` replaced, kept as a reference."""
+    grid = fp8.DECODE_TABLE[: fp8.NAN_CODE]
+    v = np.asarray(values, dtype=np.float64)
+    nan_mask = np.isnan(v)
+    neg_mask = np.signbit(v) & ~nan_mask
+    mag = np.minimum(np.abs(np.where(nan_mask, 0.0, v)), fp8.E4M3_MAX)
+    hi = np.minimum(np.searchsorted(grid, mag, side="left"), len(grid) - 1)
+    lo = np.maximum(hi - 1, 0)
+    doubled = 2.0 * mag
+    span = grid[lo] + grid[hi]
+    take_hi = (doubled > span) | ((doubled == span) & (hi % 2 == 0))
+    codes = np.where(take_hi, hi, lo).astype(np.uint8)
+    codes = np.where(neg_mask, codes | 0x80, codes)
+    return np.where(nan_mask, np.uint8(fp8.NAN_CODE), codes)
+
+
+def test_encode_array_matches_searchsorted_reference_exhaustively(rng):
+    bits = np.arange(1 << 16, dtype=np.uint32)
+    with np.errstate(invalid="ignore"):  # signalling NaN patterns
+        bf16 = (bits << 16).view(np.float32).astype(np.float64)
+        f16 = bits.astype(np.uint16).view(np.float16).astype(np.float64)
+    grid = fp8.DECODE_TABLE[: fp8.NAN_CODE]
+    mids = (grid[:-1] + grid[1:]) / 2.0
+    points = np.concatenate([grid, mids])
+    near = np.concatenate([points, np.nextafter(points, np.inf), np.nextafter(points, -np.inf)])
+    special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 448.0, 464.0, 480.0,
+                        1e30, 5e-324, 2.0**-10, 2.0**-6])
+    scaled = rng.standard_normal(1 << 20) * 2.0 ** rng.integers(-14, 10, size=1 << 20)
+    for values in (bf16, f16, near, -near, special, -special, scaled):
+        assert np.array_equal(fp8.encode_array(values), searchsorted_encode(values))

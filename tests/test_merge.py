@@ -204,7 +204,7 @@ def test_quantized_inputs_dequantize_to_f32_output(rng):
     quantized = quantize_checkpoint(base, QuantPolicy())
     merged = merge.merge_checkpoints(quantized, quantized, merge.MergeSpec(t=0.5))
     assert merged.tensors["w"].dtype is DType.F32
-    assert merged.tensors["w.scale"].dtype is DType.F32
+    assert "w.scale" not in merged.tensors
 
 
 def test_scalar_and_empty_tensors_merge(rng):
@@ -239,3 +239,28 @@ def test_merge_random_mixed_checkpoints_finite(rng):
         merged = merge.merge_checkpoints(x, y, merge.MergeSpec(t=0.5))
         for tensor in merged.tensors.values():
             assert np.isfinite(tensor_as_f64(tensor)).all() or tensor.dtype is DType.F8_E4M3
+
+
+def test_quantized_merge_lands_within_quantization_error_of_float_merge(rng):
+    base = rng.normal(scale=0.05, size=(64, 64))
+    tuned = base + rng.normal(scale=0.002, size=base.shape)
+    x = Checkpoint(tensors={"w": tensor_from_f64(base, DType.BF16, base.shape)})
+    y = Checkpoint(tensors={"w": tensor_from_f64(tuned, DType.BF16, base.shape)})
+    spec = merge.MergeSpec(t=0.5)
+    want = tensor_as_f64(merge.merge_checkpoints(x, y, spec).tensors["w"])
+    merged = merge.merge_checkpoints(
+        quantize_checkpoint(x, QuantPolicy()), quantize_checkpoint(y, QuantPolicy()), spec
+    )
+    assert set(merged.tensors) == {"w"}
+    got = tensor_as_f64(merged.tensors["w"])
+    # Dequantized elements sit within 2**-4 relative of their sources.
+    assert np.abs(got - want).max() <= 2.0**-4 * np.abs(want).max()
+
+
+def test_copy_policy_keeps_a_lone_quantized_tensor_with_its_scale(rng):
+    w = Checkpoint(tensors={"w": tensor_from_f64(rng.normal(size=8), DType.F32, (8,))})
+    quantized = quantize_checkpoint(w, QuantPolicy())
+    merged = merge.merge_checkpoints(
+        quantized, Checkpoint(), merge.MergeSpec(name_policy=merge.MissingPolicy.COPY)
+    )
+    assert merged.tensors == quantized.tensors

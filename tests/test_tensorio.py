@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -232,3 +233,17 @@ def test_round_trip_arbitrary_names(tmp_path_factory, names, seed):
     path = tmp_path_factory.mktemp("ht") / "c.safetensors"
     tio.write_checkpoint(ckpt, path)
     assert tio.read_checkpoint(path) == ckpt
+
+
+def test_read_of_a_file_truncated_after_open_raises_io_failure(tmp_path):
+    path = tmp_path / "c.safetensors"
+    tensors = {
+        "a": tio.Tensor(tio.DType.F32, (2,), struct.pack("<2f", 1.0, 2.0)),
+        "b": tio.Tensor(tio.DType.F32, (2,), struct.pack("<2f", 3.0, 4.0)),
+    }
+    tio.write_checkpoint(tio.Checkpoint(tensors=tensors), path)
+    with tio.open_checkpoint(path) as src:
+        os.truncate(path, path.stat().st_size - 2)
+        assert src.read("a") == tensors["a"]
+        with pytest.raises(tio.IoFailure):
+            src.read("b")
