@@ -10,12 +10,14 @@ flags override the file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import evalset, merge, metrics, pipeline, quant, tensorio
 from .errors import ToolError
@@ -24,22 +26,30 @@ from .state import JobState, run_fingerprint
 
 log = logging.getLogger("mtpipe")
 
+# --config keys and the type of each value. Every key is also a flag of the
+# endpoint commands, with the same name as its argparse dest.
 _CONFIG_KEYS = {
-    "base_url",
-    "model",
-    "timeout",
-    "max_retries",
-    "backoff_base",
-    "temperature",
-    "max_tokens",
-    "concurrency",
+    "base_url": str,
+    "model": str,
+    "timeout": float,
+    "max_retries": int,
+    "backoff_base": float,
+    "temperature": float,
+    "max_tokens": int,
+    "concurrency": int,
 }
+_DEFAULT_CONCURRENCY = 4
 
 
-def _load_config(path: str | None) -> dict[str, str]:
+class UsageError(Exception):
+    """A flag or config value the program rejects; exits 2 like argparse's own
+    errors."""
+
+
+def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    values: dict[str, str] = {}
+    values = {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -50,44 +60,34 @@ def _load_config(path: str | None) -> dict[str, str]:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ToolError(f"{path} line {line_no}: unknown key {key!r}")
-        values[key] = value.strip()
+        try:
+            values[key] = _CONFIG_KEYS[key](value.strip())
+        except ValueError as exc:
+            raise ToolError(f"{path} line {line_no}: {key}: {exc}") from exc
     return values
 
 
-def _endpoint_from(args: argparse.Namespace) -> EndpointConfig:
-    cfg = _load_config(args.config)
-
-    def pick(flag_value, key: str, cast, default):
-        if flag_value is not None:
-            return flag_value
-        if key in cfg:
-            return cast(cfg[key])
-        return default
-
-    base_url = pick(args.base_url, "base_url", str, None)
-    model = pick(args.model, "model", str, None)
-    if not base_url or not model:
-        raise ToolError("an endpoint needs --base-url and --model (or config entries)")
-    return EndpointConfig(
-        base_url=base_url,
-        model_name=model,
-        api_key=os.environ.get("MTPIPE_API_KEY") or os.environ.get("OPENAI_API_KEY"),
-        timeout=pick(args.timeout, "timeout", float, 60.0),
-        max_retries=pick(args.max_retries, "max_retries", int, 3),
-        backoff_base=pick(args.backoff_base, "backoff_base", float, 0.5),
-        temperature=pick(args.temperature, "temperature", float, 0.0),
-        max_tokens=pick(args.max_tokens, "max_tokens", int, 2048),
+def _endpoint_from(args: argparse.Namespace) -> tuple[EndpointConfig, int]:
+    """The endpoint and concurrency a command runs with. A flag wins over
+    ``--config``; a setting neither gives keeps EndpointConfig's default."""
+    values = _load_config(args.config)
+    values.update(
+        (key, getattr(args, key)) for key in _CONFIG_KEYS if getattr(args, key) is not None
     )
-
-
-def _concurrency_from(args: argparse.Namespace) -> int:
-    if args.concurrency is not None:
-        value = args.concurrency
-    else:
-        value = int(_load_config(args.config).get("concurrency", 4))
-    if value < 1:
+    concurrency = values.pop("concurrency", _DEFAULT_CONCURRENCY)
+    if concurrency < 1:
         raise ToolError("concurrency must be at least 1")
-    return value
+    if not values.get("base_url") or not values.get("model"):
+        raise ToolError("an endpoint needs --base-url and --model (or config entries)")
+    try:
+        cfg = EndpointConfig(
+            model_name=values.pop("model"),
+            api_key=os.environ.get("MTPIPE_API_KEY") or os.environ.get("OPENAI_API_KEY"),
+            **values,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return cfg, concurrency
 
 
 def _file_digest(path: str | Path) -> str:
@@ -98,27 +98,20 @@ def _file_digest(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _already_done(state_path: str | None, fingerprint: str) -> bool:
-    """Completion marker for local (no-network) subcommands with --state."""
+def _run_once(
+    state_path: str | None, parts: list[str], out: str, work: Callable[[], None]
+) -> None:
+    """Run a local step, or skip it when ``--state`` records this same run
+    (fingerprint of ``parts``) as done and ``out`` still exists."""
     if not state_path:
-        return False
-    path = Path(state_path)
-    if not path.exists():
-        return False
-    try:
-        meta = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return False
-    return meta.get("fingerprint") == fingerprint and meta.get("done") is True
-
-
-def _mark_done(state_path: str | None, fingerprint: str) -> None:
-    if not state_path:
+        work()
         return
-    path = Path(state_path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps({"fingerprint": fingerprint, "done": True}), encoding="utf-8")
-    os.replace(tmp, path)
+    with JobState(state_path, run_fingerprint(parts)) as state:
+        if 0 in state.completed and Path(out).exists():
+            log.info("%s already complete; nothing to do", parts[0])
+            return
+        work()
+        state.record(0, str(out))
 
 
 # --------------------------------------------------------------------------
@@ -145,11 +138,14 @@ def cmd_quantize(args: argparse.Namespace) -> int:
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
-    spec = merge.MergeSpec(
-        t=args.t,
-        parallel_eps=args.eps,
-        name_policy=merge.MissingPolicy(args.on_missing),
-    )
+    try:
+        spec = merge.MergeSpec(
+            t=args.t,
+            parallel_eps=args.eps,
+            name_policy=merge.MissingPolicy(args.on_missing),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     with tensorio.open_checkpoint(args.a) as a, tensorio.open_checkpoint(args.b) as b:
         merged = merge.merge_stream(a, b, spec)
         tensorio.write_checkpoint(merged, args.out)
@@ -177,12 +173,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             f"BLEU {report.bleu:.1f} ROUGE-L {report.rouge_l:.1f} "
             f"chrF++ {report.chrf_pp:.1f} n={report.n_pairs}"
         )
-        payload = {
-            "bleu": report.bleu,
-            "rouge_l": report.rouge_l,
-            "chrf_pp": report.chrf_pp,
-            "n_pairs": report.n_pairs,
-        }
+        payload = dataclasses.asdict(report)
     else:
         if args.metric == "bleu":
             score = metrics.bleu_corpus(hyps, refs)
@@ -222,123 +213,59 @@ def cmd_translate_corpus(args: argparse.Namespace) -> int:
         prompts.append(pipeline.render_translation_prompt(record.response, args.template))
     items = [BatchItem(i, prompt) for i, prompt in enumerate(prompts)]
 
-    cfg = _endpoint_from(args)
+    cfg, concurrency = _endpoint_from(args)
     with JobState(args.state, batch_fingerprint(items, cfg)) as state:
-        outputs = run_batch(items, cfg, _concurrency_from(args), state)
+        outputs = run_batch(items, cfg, concurrency, state)
 
-    tuples = pipeline.build_bilingual_tuples(records, outputs[0::2], outputs[1::2])
-    pipeline.write_records(
-        args.out,
-        (
-            {
-                "instr_en": t.instr_en,
-                "instr_ar": t.instr_ar,
-                "resp_en": t.resp_en,
-                "resp_ar": t.resp_ar,
-                "source": record.source,
-            }
-            for t, record in zip(tuples, records)
-        ),
-    )
+    pipeline.write_bilingual_tuples(args.out, records, outputs[0::2], outputs[1::2])
     log.info("translated %d records -> %s", len(records), args.out)
     return 0
 
 
 def cmd_judge(args: argparse.Namespace) -> int:
-    pairs = []
-    for obj in pipeline.read_records(args.in_path):
-        if "ar" not in obj or "en" not in obj:
-            raise ToolError(f"{args.in_path}: pair records need 'ar' and 'en' fields")
-        pairs.append((obj["ar"], obj["en"]))
-
-    cfg = _endpoint_from(args)
+    pairs = pipeline.load_parallel_pairs(args.in_path)
+    cfg, concurrency = _endpoint_from(args)
     accepted, stats = pipeline.filter_parallel_corpus(
-        pairs, cfg, state=args.state, concurrency=_concurrency_from(args)
+        pairs, cfg, state=args.state, concurrency=concurrency
     )
 
-    pipeline.write_records(args.accepted, ({"ar": ar, "en": en} for ar, en in accepted))
+    pipeline.write_parallel_pairs(args.accepted, accepted)
     print(
         f"candidates={stats.candidates} accepted={stats.accepted} "
         f"rejected={stats.rejected} unparseable={stats.unparseable} "
         f"rate={stats.acceptance_rate * 100:.2f}%"
     )
     if args.stats:
-        Path(args.stats).write_text(
-            json.dumps(
-                {
-                    "candidates": stats.candidates,
-                    "accepted": stats.accepted,
-                    "rejected": stats.rejected,
-                    "unparseable": stats.unparseable,
-                    "acceptance_rate": stats.acceptance_rate,
-                },
-                indent=2,
-                sort_keys=True,
-            ),
-            encoding="utf-8",
-        )
+        Path(args.stats).write_text(stats.to_json(), encoding="utf-8")
     return 0
 
 
 def cmd_pair(args: argparse.Namespace) -> int:
-    fingerprint = run_fingerprint(
-        ["pair", _file_digest(args.records), _file_digest(args.instr_ar),
-         _file_digest(args.resp_ar), str(args.out)]
-    )
-    if _already_done(args.state, fingerprint) and Path(args.out).exists():
-        log.info("pairing already complete; nothing to do")
-        return 0
+    def work() -> None:
+        records = pipeline.load_instruction_records(args.records)
+        n = pipeline.write_bilingual_tuples(
+            args.out, records, _read_lines(args.instr_ar), _read_lines(args.resp_ar)
+        )
+        log.info("paired %d records -> %s", n, args.out)
 
-    records = pipeline.load_instruction_records(args.records)
-    instr_ar = _read_lines(args.instr_ar)
-    resp_ar = _read_lines(args.resp_ar)
-    tuples = pipeline.build_bilingual_tuples(records, instr_ar, resp_ar)
-    pipeline.write_records(
-        args.out,
-        (
-            {
-                "instr_en": t.instr_en,
-                "instr_ar": t.instr_ar,
-                "resp_en": t.resp_en,
-                "resp_ar": t.resp_ar,
-                "source": record.source,
-            }
-            for t, record in zip(tuples, records)
-        ),
-    )
-    _mark_done(args.state, fingerprint)
-    log.info("paired %d records -> %s", len(tuples), args.out)
+    parts = ["pair", _file_digest(args.records), _file_digest(args.instr_ar),
+             _file_digest(args.resp_ar), str(args.out)]
+    _run_once(args.state, parts, args.out, work)
     return 0
 
 
 def cmd_filter_code(args: argparse.Namespace) -> int:
-    fingerprint = run_fingerprint(
-        ["filter-code", _file_digest(args.in_path), str(args.min_code_lines),
-         repr(args.symbol_ratio), str(args.out)]
-    )
-    if _already_done(args.state, fingerprint) and Path(args.out).exists():
-        log.info("code filter already complete; nothing to do")
-        return 0
+    def work() -> None:
+        records = pipeline.load_instruction_records(args.in_path)
+        kept, dropped = pipeline.filter_code_samples(
+            records, min_code_lines=args.min_code_lines, symbol_ratio=args.symbol_ratio
+        )
+        pipeline.write_instruction_records(args.out, kept)
+        print(f"kept={len(kept)} dropped={dropped}")
 
-    records = pipeline.load_instruction_records(args.in_path)
-    kept, dropped = pipeline.filter_code_samples(
-        records, min_code_lines=args.min_code_lines, symbol_ratio=args.symbol_ratio
-    )
-    pipeline.write_records(
-        args.out,
-        (
-            {
-                "id": r.id,
-                "instruction": r.instruction,
-                "response": r.response,
-                "source": r.source,
-                **({"system": r.system} if r.system is not None else {}),
-            }
-            for r in kept
-        ),
-    )
-    _mark_done(args.state, fingerprint)
-    print(f"kept={len(kept)} dropped={dropped}")
+    parts = ["filter-code", _file_digest(args.in_path), str(args.min_code_lines),
+             repr(args.symbol_ratio), str(args.out)]
+    _run_once(args.state, parts, args.out, work)
     return 0
 
 
@@ -353,19 +280,16 @@ def cmd_mix(args: argparse.Namespace) -> int:
             raise ToolError(f"--source must be NAME=PATH=COUNT, got {raw!r}") from exc
 
     shuffle_seed = args.seed if args.shuffle else None
-    fingerprint = run_fingerprint(
-        ["mix", str(args.out), str(shuffle_seed)]
-        + [f"{s.name}={_file_digest(s.path)}={s.expected}" for s in sources]
-    )
-    if _already_done(args.state, fingerprint) and Path(args.out).exists():
-        log.info("mix already complete; nothing to do")
-        return 0
 
-    manifest = pipeline.mix_corpora(sources, args.out, shuffle_seed=shuffle_seed)
-    if args.manifest:
-        Path(args.manifest).write_text(manifest.to_json() + "\n", encoding="utf-8")
-    _mark_done(args.state, fingerprint)
-    print(f"total={manifest.total}")
+    def work() -> None:
+        manifest = pipeline.mix_corpora(sources, args.out, shuffle_seed=shuffle_seed)
+        if args.manifest:
+            Path(args.manifest).write_text(manifest.to_json() + "\n", encoding="utf-8")
+        print(f"total={manifest.total}")
+
+    parts = ["mix", str(args.out), str(shuffle_seed)]
+    parts += [f"{s.name}={_file_digest(s.path)}={s.expected}" for s in sources]
+    _run_once(args.state, parts, args.out, work)
     return 0
 
 
@@ -374,46 +298,13 @@ def cmd_sample_eval(args: argparse.Namespace) -> int:
     ar_items = evalset.load_question_items(args.ar)
     sample = evalset.sample_questions(en_items, args.n, args.seed)
     pairs, misses = evalset.align_references(sample, ar_items)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    pipeline.write_records(
-        out_dir / "sample.jsonl",
-        ({"subject": q.subject, "item_id": q.item_id, "text": q.text} for q in sample),
-    )
-    pipeline.write_records(
-        out_dir / "pairs.jsonl",
-        (
-            {
-                "subject": p.en.subject,
-                "item_id": p.en.item_id,
-                "text": p.en.text,
-                "reference": p.ar_reference,
-            }
-            for p in pairs
-        ),
-    )
-    pipeline.write_records(
-        out_dir / "misses.jsonl",
-        ({"subject": subject, "item_id": item_id} for subject, item_id in misses),
-    )
+    evalset.write_eval_set(args.out, sample, pairs, misses)
     print(f"sampled={len(sample)} aligned={len(pairs)} misses={len(misses)}")
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    pairs = []
-    for obj in pipeline.read_records(args.pairs):
-        pairs.append(
-            evalset.AlignedPair(
-                en=evalset.QuestionItem(
-                    subject=str(obj["subject"]),
-                    item_id=str(obj["item_id"]),
-                    text=str(obj["text"]),
-                ),
-                ar_reference=str(obj["reference"]),
-            )
-        )
+    pairs = evalset.load_aligned_pairs(args.pairs)
     outputs = _read_lines(args.outputs)
     report, row = evalset.build_report(pairs, outputs, args.name)
     print(row)
@@ -546,6 +437,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
+    except UsageError as exc:
+        log.error("%s", exc)
+        return 2
     except ToolError as exc:
         log.error("%s", exc)
         return 1

@@ -3,3 +3,7 @@
 
 class ToolError(Exception):
     """Base class for every operational error raised by this package."""
+
+
+class LengthMismatch(ToolError):
+    """Two sequences that must align index by index differ in length."""

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TypeVar
 
-from .errors import ToolError
+from . import pipeline
+from .errors import LengthMismatch, ToolError
 from .metrics import MetricReport, evaluate_pairs
 
 _MASK64 = (1 << 64) - 1
@@ -27,10 +28,6 @@ class NTooLarge(ToolError):
 
 
 class DuplicateKey(ToolError):
-    pass
-
-
-class LengthMismatch(ToolError):
     pass
 
 
@@ -69,7 +66,7 @@ def sample_questions(items: Sequence[T], n: int, seed: int) -> list[T]:
     A partial Fisher-Yates shuffle: position i swaps with a bounded draw from
     the remaining suffix. Deterministic in (items order, n, seed).
     """
-    if n > len(items):
+    if not 0 <= n <= len(items):
         raise NTooLarge(f"cannot sample {n} from {len(items)} items")
     pool = list(items)
     state = seed & _MASK64
@@ -147,17 +144,48 @@ def build_report(
     return report, render_report_row(system_name, report)
 
 
+_ITEM_FIELDS = ("subject", "item_id", "text")
+
+
+def _item_record(item: QuestionItem) -> dict:
+    return {"subject": item.subject, "item_id": item.item_id, "text": item.text}
+
+
+def _item_from(obj: dict) -> QuestionItem:
+    return QuestionItem(
+        subject=str(obj["subject"]), item_id=str(obj["item_id"]), text=str(obj["text"])
+    )
+
+
 def load_question_items(path: str | Path) -> list[QuestionItem]:
     """Read {subject, item_id, text} records from a corpus-format file."""
-    from .pipeline import read_records
+    return [_item_from(obj) for obj in pipeline.read_records(path, required=_ITEM_FIELDS)]
 
-    items = []
-    for obj in read_records(path):
-        items.append(
-            QuestionItem(
-                subject=str(obj["subject"]),
-                item_id=str(obj["item_id"]),
-                text=str(obj["text"]),
-            )
-        )
-    return items
+
+def load_aligned_pairs(path: str | Path) -> list[AlignedPair]:
+    """Read the {subject, item_id, text, reference} records write_eval_set
+    puts in pairs.jsonl."""
+    return [
+        AlignedPair(en=_item_from(obj), ar_reference=str(obj["reference"]))
+        for obj in pipeline.read_records(path, required=_ITEM_FIELDS + ("reference",))
+    ]
+
+
+def write_eval_set(
+    out_dir: str | Path,
+    sample: Sequence[QuestionItem],
+    pairs: Sequence[AlignedPair],
+    misses: Sequence[tuple[str, str]],
+) -> None:
+    """Write sample.jsonl, pairs.jsonl and misses.jsonl into ``out_dir``."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    pipeline.write_records(out_dir / "sample.jsonl", map(_item_record, sample))
+    pipeline.write_records(
+        out_dir / "pairs.jsonl",
+        ({**_item_record(p.en), "reference": p.ar_reference} for p in pairs),
+    )
+    pipeline.write_records(
+        out_dir / "misses.jsonl",
+        ({"subject": subject, "item_id": item_id} for subject, item_id in misses),
+    )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import requests
@@ -159,23 +159,22 @@ def run_batch(
         future_items = {
             pool.submit(chat_complete, cfg, item.prompt): item for item in pending
         }
-        not_done = set(future_items)
-        while not_done:
-            done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-            for future in done:
-                if future.cancelled():
-                    continue
-                item = future_items[future]
-                exc = future.exception()
-                if exc is not None:
-                    if failure is None:
-                        failure = exc
-                        for other in not_done:
-                            other.cancel()
-                    continue
-                text = future.result()
-                state.record(item.index, text)
-                results[item.index] = text
+        # as_completed installs one waiter per future, once; waiting on the
+        # not-done set after every completion would cost O(N) each time.
+        for future in as_completed(future_items):
+            if future.cancelled():
+                continue
+            exc = future.exception()
+            if exc is not None:
+                if failure is None:
+                    failure = exc
+                    for other in future_items:
+                        other.cancel()
+                continue
+            item = future_items[future]
+            text = future.result()
+            state.record(item.index, text)
+            results[item.index] = text
     state.checkpoint()
     if failure is not None:
         raise failure

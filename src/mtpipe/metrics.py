@@ -15,11 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ToolError
-
-
-class LengthMismatch(ToolError):
-    pass
+from .errors import LengthMismatch, ToolError
 
 
 class EmptyCorpus(ToolError):

@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import ToolError
+from .errors import LengthMismatch, ToolError
 from .inference import BatchItem, EndpointConfig, batch_fingerprint, run_batch
 from .state import JobState
 
@@ -53,10 +53,6 @@ class EmptyText(ToolError):
 
 
 class EmptyField(ToolError):
-    pass
-
-
-class LengthMismatch(ToolError):
     pass
 
 
@@ -146,6 +142,19 @@ class FilterStats:
     @property
     def acceptance_rate(self) -> float:
         return self.accepted / self.candidates if self.candidates else 0.0
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "candidates": self.candidates,
+                "accepted": self.accepted,
+                "rejected": self.rejected,
+                "unparseable": self.unparseable,
+                "acceptance_rate": self.acceptance_rate,
+            },
+            indent=2,
+            sort_keys=True,
+        )
 
 
 def filter_parallel_corpus(
@@ -314,8 +323,11 @@ def write_records(path: str | Path, records: Iterable[dict]) -> int:
     return count
 
 
-def read_records(path: str | Path, source: str | None = None) -> Iterator[dict]:
-    """Stream one JSON object per line; malformed lines are an error."""
+def read_records(
+    path: str | Path, source: str | None = None, required: Sequence[str] = ()
+) -> Iterator[dict]:
+    """Stream one JSON object per line; malformed lines and objects lacking a
+    ``required`` field are an error."""
     label = source if source is not None else str(path)
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -328,7 +340,19 @@ def read_records(path: str | Path, source: str | None = None) -> Iterator[dict]:
                 raise MalformedLine(label, line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise MalformedLine(label, line_no, "line is not an object")
+            for name in required:
+                if name not in record:
+                    raise MalformedLine(label, line_no, f"missing field {name!r}")
             yield record
+
+
+def load_parallel_pairs(path: str | Path) -> list[tuple[str, str]]:
+    """Read {ar, en} pair records as (ar, en) tuples."""
+    return [(obj["ar"], obj["en"]) for obj in read_records(path, required=("ar", "en"))]
+
+
+def write_parallel_pairs(path: str | Path, pairs: Iterable[tuple[str, str]]) -> int:
+    return write_records(path, ({"ar": ar, "en": en} for ar, en in pairs))
 
 
 def load_instruction_records(path: str | Path) -> list[InstructionRecord]:
@@ -344,6 +368,47 @@ def load_instruction_records(path: str | Path) -> list[InstructionRecord]:
             )
         )
     return records
+
+
+def write_instruction_records(path: str | Path, records: Iterable[InstructionRecord]) -> int:
+    """Write records in the form load_instruction_records reads back."""
+    return write_records(
+        path,
+        (
+            {
+                "id": r.id,
+                "instruction": r.instruction,
+                "response": r.response,
+                "source": r.source,
+                **({"system": r.system} if r.system is not None else {}),
+            }
+            for r in records
+        ),
+    )
+
+
+def write_bilingual_tuples(
+    path: str | Path,
+    records: Sequence[InstructionRecord],
+    instr_ar: Sequence[str],
+    resp_ar: Sequence[str],
+) -> int:
+    """Pair records with their translations (see build_bilingual_tuples) and
+    write one four-way record per input record, tagged with its source."""
+    tuples = build_bilingual_tuples(records, instr_ar, resp_ar)
+    return write_records(
+        path,
+        (
+            {
+                "instr_en": t.instr_en,
+                "instr_ar": t.instr_ar,
+                "resp_en": t.resp_en,
+                "resp_ar": t.resp_ar,
+                "source": record.source,
+            }
+            for t, record in zip(tuples, records)
+        ),
+    )
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mtpipe import cli, pipeline, tensorio as tio
+from mtpipe.inference import EndpointConfig
 from mtpipe.tensorio import Checkpoint, DType, tensor_from_f64
 
 from stubserver import StubEndpoint
@@ -356,3 +357,161 @@ def test_config_file_unknown_key_rejected(tmp_path):
          "--base-url", "http://127.0.0.1:1", "--model", "m"]
     )
     assert code == 1
+
+
+def _code_records(path: Path) -> None:
+    pipeline.write_records(
+        path,
+        [
+            {"id": "0", "instruction": "prose", "response": "more prose"},
+            {"id": "1", "instruction": "code", "response": "```python\nx\n```"},
+        ],
+    )
+
+
+def _local_step_args(tmp_path: Path, command: str) -> list[str]:
+    src = tmp_path / "records.jsonl"
+    _code_records(src)
+    out = str(tmp_path / "out.jsonl")
+    if command == "filter-code":
+        return ["filter-code", "--in", str(src), "--out", out]
+    return ["mix", "--source", f"alpha={src}=2", "--out", out]
+
+
+@pytest.mark.parametrize("command", ["filter-code", "mix"])
+def test_local_step_rerun_with_state_is_a_no_op(tmp_path, capsys, command):
+    state = tmp_path / "step.state"
+    args = _local_step_args(tmp_path, command) + ["--state", str(state)]
+    out = tmp_path / "out.jsonl"
+    assert run_cli(args) == 0
+    assert capsys.readouterr().out.strip()
+    first = out.read_bytes()
+    assert Path(str(state) + ".journal").exists()
+
+    assert run_cli(args) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize("command", ["filter-code", "mix"])
+def test_local_step_state_of_another_run_exits_one(tmp_path, caplog, command):
+    state = tmp_path / "step.state"
+    args = _local_step_args(tmp_path, command) + ["--state", str(state)]
+    assert run_cli(args) == 0
+    other = ["--min-code-lines", "5"] if command == "filter-code" else ["--shuffle"]
+    assert run_cli(args + other) == 1
+    assert "created for a different run" in caplog.text
+
+
+def test_local_step_upgrades_an_old_done_marker(tmp_path, capsys):
+    state = tmp_path / "step.state"
+    args = _local_step_args(tmp_path, "filter-code") + ["--state", str(state)]
+    assert run_cli(args) == 0
+    fingerprint = json.loads(state.read_text())["fingerprint"]
+    capsys.readouterr()
+
+    # The marker older releases wrote for local commands.
+    state.write_text(json.dumps({"fingerprint": fingerprint, "done": True}))
+    Path(str(state) + ".journal").unlink()
+    assert run_cli(args) == 0
+    assert capsys.readouterr().out.strip() == "kept=1 dropped=1"
+    meta = json.loads(state.read_text())
+    assert meta["fingerprint"] == fingerprint and "done" not in meta
+    assert meta["completed"] == 1
+
+    assert run_cli(args) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_config_with_only_endpoint_address_keeps_config_defaults(tmp_path, monkeypatch):
+    monkeypatch.delenv("MTPIPE_API_KEY", raising=False)
+    monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+    config = tmp_path / "run.cfg"
+    config.write_text("base_url=http://127.0.0.1:1\nmodel=m\n", encoding="utf-8")
+    args = cli.build_parser().parse_args(
+        ["--config", str(config), "judge", "--in", "p", "--accepted", "a", "--state", "s"]
+    )
+    cfg, concurrency = cli._endpoint_from(args)
+    assert cfg == EndpointConfig(base_url="http://127.0.0.1:1", model_name="m")
+    assert concurrency == 4
+
+
+def test_config_value_of_the_wrong_type_exits_one(tmp_path, caplog):
+    config = tmp_path / "run.cfg"
+    config.write_text("base_url=http://127.0.0.1:1\nmodel=m\ntimeout=soon\n", encoding="utf-8")
+    pairs_path = tmp_path / "pairs.jsonl"
+    pipeline.write_records(pairs_path, [{"ar": "أ", "en": "a"}])
+    code = run_cli(
+        ["--config", str(config), "judge", "--in", str(pairs_path),
+         "--accepted", str(tmp_path / "a"), "--state", str(tmp_path / "s")]
+    )
+    assert code == 1
+    assert f"{config} line 3: timeout" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--timeout", "0"], ["--backoff-base", "0"], ["--max-retries", "-1"]],
+    ids=["timeout", "backoff-base", "max-retries"],
+)
+def test_invalid_endpoint_flag_exits_two(tmp_path, caplog, flags):
+    pairs_path = tmp_path / "pairs.jsonl"
+    pipeline.write_records(pairs_path, [{"ar": "أ", "en": "a"}])
+    code = run_cli(
+        ["judge", "--in", str(pairs_path), "--accepted", str(tmp_path / "a"),
+         "--state", str(tmp_path / "s"), "--base-url", "http://127.0.0.1:1",
+         "--model", "m", *flags]
+    )
+    assert code == 2
+    assert flags[0].lstrip("-").replace("-", "_") in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not (tmp_path / "s").exists()
+
+
+def test_merge_invalid_eps_exits_two(tmp_path, rng, caplog):
+    a = tmp_path / "a.safetensors"
+    _write_checkpoint(a, rng)
+    out = tmp_path / "o"
+    code = run_cli(["merge", "--a", str(a), "--b", str(a), "--eps", "0", "--out", str(out)])
+    assert code == 2
+    assert "parallel_eps must be positive" in caplog.text
+    assert not out.exists()
+
+
+def _eval_inputs(tmp_path: Path, drop: str | None = None) -> tuple[Path, Path]:
+    en, ar = tmp_path / "en.jsonl", tmp_path / "ar.jsonl"
+    rows = [{"subject": "s", "item_id": str(i), "text": f"q {i}"} for i in range(5)]
+    if drop == "en":
+        del rows[2]["text"]
+    pipeline.write_records(en, rows)
+    pipeline.write_records(ar, [{**r, "text": f"a {i}"} for i, r in enumerate(rows)])
+    return en, ar
+
+
+def test_sample_eval_missing_field_is_malformed_line(tmp_path, caplog):
+    en, ar = _eval_inputs(tmp_path, drop="en")
+    code = run_cli(["sample-eval", "--en", str(en), "--ar", str(ar), "--n", "2",
+                    "--seed", "1", "--out", str(tmp_path / "ev")])
+    assert code == 1
+    assert f"{en} line 3: missing field 'text'" in caplog.text
+
+
+def test_report_missing_field_is_malformed_line(tmp_path, caplog):
+    pairs = tmp_path / "pairs.jsonl"
+    pipeline.write_records(
+        pairs, [{"subject": "s", "item_id": "0", "reference": "r"}]
+    )
+    outputs = tmp_path / "outputs.txt"
+    outputs.write_text("r\n", encoding="utf-8")
+    code = run_cli(["report", "--pairs", str(pairs), "--outputs", str(outputs),
+                    "--name", "x"])
+    assert code == 1
+    assert f"{pairs} line 1: missing field 'text'" in caplog.text
+
+
+def test_sample_eval_negative_n_exits_one(tmp_path, capsys):
+    en, ar = _eval_inputs(tmp_path)
+    code = run_cli(["sample-eval", "--en", str(en), "--ar", str(ar), "--n", "-1",
+                    "--seed", "1", "--out", str(tmp_path / "ev")])
+    assert code == 1
+    assert capsys.readouterr().out == ""

@@ -73,6 +73,11 @@ def test_sample_too_large():
         evalset.sample_questions(items(3), 4, seed=1)
 
 
+def test_sample_negative_n_rejected():
+    with pytest.raises(evalset.NTooLarge):
+        evalset.sample_questions(items(5), -1, seed=1)
+
+
 def test_sample_matches_second_implementation():
     pool = list("ABCDEFGHIJ")
     for seed in (42, 0, 2**63):

@@ -285,6 +285,15 @@ def test_read_records_rejects_malformed(tmp_path):
     assert err.value.line_no == 2
 
 
+def test_parallel_pair_missing_field_names_its_line(tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    pipeline.write_records(path, [{"ar": "أ", "en": "a"}, {"ar": "ب"}])
+    with pytest.raises(pipeline.MalformedLine) as err:
+        pipeline.load_parallel_pairs(path)
+    assert err.value.line_no == 2
+    assert "missing field 'en'" in str(err.value)
+
+
 def test_mix_counts_and_tagging(tmp_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
