@@ -153,8 +153,22 @@ def cmd_merge(args: argparse.Namespace) -> int:
     return 0
 
 
+def _split_lines(text: str) -> list[str]:
+    """One segment per line. Only "\n" ends a line, and one "\r" before it is
+    dropped, so U+2028, U+0085 and the other breaks str.splitlines() knows
+    stay inside a segment. A final newline adds no empty segment."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
+
+
 def _read_lines(path: str) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ToolError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from exc
+    return _split_lines(text)
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -195,7 +209,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_tokenize(args: argparse.Namespace) -> int:
-    lines = _read_lines(args.in_path) if args.in_path else sys.stdin.read().splitlines()
+    lines = _read_lines(args.in_path) if args.in_path else _split_lines(sys.stdin.read())
     out = [" ".join(metrics.tokenize_13a(line)) for line in lines]
     if args.out:
         Path(args.out).write_text("".join(s + "\n" for s in out), encoding="utf-8")

@@ -69,8 +69,33 @@ class BleuOptions:
             raise ValueError(f"unknown smoothing {self.smoothing!r}")
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens: Sequence[str], max_order: int) -> Counter:
+    """Counts of every n-gram of orders 1..max_order in one Counter. Each key
+    is a tuple of n tokens, so its length is its order."""
+    counts: Counter = Counter()
+    for n in range(1, max_order + 1):
+        counts.update(zip(*[tokens[k:] for k in range(n)]))
+    return counts
+
+
+def _ngram_totals(lengths: list[int], max_order: int) -> list[int]:
+    """Number of n-grams of each order 1..max_order in sequences of the given
+    lengths."""
+    return [
+        sum(length - n + 1 for length in lengths if length >= n)
+        for n in range(1, max_order + 1)
+    ]
+
+
+def _add_clipped(hyp: Counter, ref: Counter, matched: list[int], offset: int = 0) -> None:
+    """Add each shared n-gram's clipped count, min(hyp, ref), to
+    ``matched[offset + order - 1]``, looping over the smaller side's keys."""
+    small, large = (hyp, ref) if len(hyp) <= len(ref) else (ref, hyp)
+    get = large.get
+    for gram, count in small.items():
+        other = get(gram)
+        if other:
+            matched[offset + len(gram) - 1] += count if count < other else other
 
 
 def bleu_corpus(
@@ -90,21 +115,20 @@ def bleu_corpus(
         raise EmptyCorpus("BLEU needs at least one segment pair")
 
     correct = [0] * opts.max_order
-    total = [0] * opts.max_order
-    hyp_len = 0
+    hyp_lengths = []
     ref_len = 0
     for hyp, ref in zip(hyps, refs):
         hyp_tokens = tokenize_13a(hyp)
         ref_tokens = tokenize_13a(ref)
-        hyp_len += len(hyp_tokens)
+        hyp_lengths.append(len(hyp_tokens))
         ref_len += len(ref_tokens)
-        for n in range(1, opts.max_order + 1):
-            hyp_counts = _ngram_counts(hyp_tokens, n)
-            ref_counts = _ngram_counts(ref_tokens, n)
-            total[n - 1] += sum(hyp_counts.values())
-            correct[n - 1] += sum(
-                min(count, ref_counts[gram]) for gram, count in hyp_counts.items()
-            )
+        _add_clipped(
+            _ngram_counts(hyp_tokens, opts.max_order),
+            _ngram_counts(ref_tokens, opts.max_order),
+            correct,
+        )
+    hyp_len = sum(hyp_lengths)
+    total = _ngram_totals(hyp_lengths, opts.max_order)
 
     log_sum = 0.0
     smooth = 1.0
@@ -137,8 +161,13 @@ CHRF_BETA = 2.0
 _WHITESPACE = re.compile(r"\s+")
 
 
-def _char_ngrams(text: str, n: int) -> Counter:
-    return Counter(text[i : i + n] for i in range(len(text) - n + 1))
+def _char_ngram_counts(text: str) -> Counter:
+    """Counts of every character n-gram of orders 1..CHRF_CHAR_ORDER in one
+    Counter. Each key is a substring, so its length is its order."""
+    counts = Counter(text)
+    for n in range(2, CHRF_CHAR_ORDER + 1):
+        counts.update([text[i : i + n] for i in range(len(text) - n + 1)])
+    return counts
 
 
 def chrf_pp(hyps: Sequence[str], refs: Sequence[str]) -> float:
@@ -152,25 +181,31 @@ def chrf_pp(hyps: Sequence[str], refs: Sequence[str]) -> float:
         raise EmptyCorpus("chrF++ needs at least one segment pair")
 
     n_orders = CHRF_CHAR_ORDER + CHRF_WORD_ORDER
-    hyp_total = [0] * n_orders
-    ref_total = [0] * n_orders
     matched = [0] * n_orders
+    hyp_char_lens: list[int] = []
+    ref_char_lens: list[int] = []
+    hyp_word_lens: list[int] = []
+    ref_word_lens: list[int] = []
     for hyp, ref in zip(hyps, refs):
         hyp_chars = _WHITESPACE.sub("", hyp)
         ref_chars = _WHITESPACE.sub("", ref)
         hyp_words = hyp.split()
         ref_words = ref.split()
-        for i in range(n_orders):
-            if i < CHRF_CHAR_ORDER:
-                h = _char_ngrams(hyp_chars, i + 1)
-                r = _char_ngrams(ref_chars, i + 1)
-            else:
-                n = i - CHRF_CHAR_ORDER + 1
-                h = _ngram_counts(hyp_words, n)
-                r = _ngram_counts(ref_words, n)
-            hyp_total[i] += sum(h.values())
-            ref_total[i] += sum(r.values())
-            matched[i] += sum((h & r).values())
+        hyp_char_lens.append(len(hyp_chars))
+        ref_char_lens.append(len(ref_chars))
+        hyp_word_lens.append(len(hyp_words))
+        ref_word_lens.append(len(ref_words))
+        _add_clipped(_char_ngram_counts(hyp_chars), _char_ngram_counts(ref_chars), matched)
+        _add_clipped(
+            _ngram_counts(hyp_words, CHRF_WORD_ORDER),
+            _ngram_counts(ref_words, CHRF_WORD_ORDER),
+            matched,
+            CHRF_CHAR_ORDER,
+        )
+    hyp_total = _ngram_totals(hyp_char_lens, CHRF_CHAR_ORDER)
+    hyp_total += _ngram_totals(hyp_word_lens, CHRF_WORD_ORDER)
+    ref_total = _ngram_totals(ref_char_lens, CHRF_CHAR_ORDER)
+    ref_total += _ngram_totals(ref_word_lens, CHRF_WORD_ORDER)
 
     beta_sq = CHRF_BETA * CHRF_BETA
     f_scores = []
@@ -208,21 +243,28 @@ def rouge_tokens(text: str) -> list[str]:
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Length of the longest common subsequence, O(len(a) * len(b))."""
-    if not a or not b:
-        return 0
+    """Length of the longest common subsequence, by the bit-parallel method of
+    Allison and Dix (1986) in the form of Hyyrö (2004).
+
+    Bit j of ``s`` stands for position j of the shorter sequence, and the
+    LCS so far is the number of its 0 bits. Each token of the longer
+    sequence updates the whole row with a few big-int operations on the
+    token's match mask, instead of one Python step per table cell."""
     if len(a) < len(b):
         a, b = b, a
-    previous = [0] * (len(b) + 1)
+    if not b:
+        return 0
+    masks: dict = {}
+    for j, item in enumerate(b):
+        masks[item] = masks.get(item, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    s = full
+    get = masks.get
     for item in a:
-        current = [0]
-        for j, other in enumerate(b, start=1):
-            if item == other:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[j - 1]))
-        previous = current
-    return previous[-1]
+        u = s & get(item, 0)
+        if u:  # u == 0 leaves s as it is
+            s = ((s + u) | (s - u)) & full
+    return len(b) - s.bit_count()
 
 
 def rouge_l_f1(hyp: str, ref: str) -> float:

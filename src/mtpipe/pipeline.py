@@ -329,9 +329,14 @@ def read_records(
     """Stream one JSON object per line; malformed lines and objects lacking a
     ``required`` field are an error."""
     label = source if source is not None else str(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise MalformedLine(
+                    label, line_no, f"not UTF-8 at byte {exc.start}: {exc.reason}"
+                ) from exc
             if not line:
                 raise MalformedLine(label, line_no, "blank line")
             try:
@@ -356,17 +361,29 @@ def write_parallel_pairs(path: str | Path, pairs: Iterable[tuple[str, str]]) -> 
 
 
 def load_instruction_records(path: str | Path) -> list[InstructionRecord]:
+    """Read instruction records. ``instruction`` and ``response`` must be
+    strings, and ``system`` too when present; a record that breaks this, or
+    has an empty instruction, is a MalformedLine naming its line."""
     records = []
-    for i, obj in enumerate(read_records(path)):
-        records.append(
-            InstructionRecord(
-                id=str(obj.get("id", i)),
-                instruction=obj.get("instruction", ""),
-                response=obj.get("response", ""),
-                source=str(obj.get("source", Path(path).stem)),
-                system=obj.get("system"),
+    lines = read_records(path, required=("instruction", "response"))
+    for line_no, obj in enumerate(lines, start=1):
+        for name in ("instruction", "response", "system"):
+            value = obj.get(name, "")
+            if not isinstance(value, str):
+                kind = "null" if value is None else type(value).__name__
+                raise MalformedLine(str(path), line_no, f"field {name!r} is {kind}, not a string")
+        try:
+            records.append(
+                InstructionRecord(
+                    id=str(obj.get("id", line_no - 1)),
+                    instruction=obj["instruction"],
+                    response=obj["response"],
+                    source=str(obj.get("source", Path(path).stem)),
+                    system=obj.get("system"),
+                )
             )
-        )
+        except EmptyField as exc:
+            raise MalformedLine(str(path), line_no, str(exc)) from exc
     return records
 
 

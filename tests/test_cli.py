@@ -515,3 +515,59 @@ def test_sample_eval_negative_n_exits_one(tmp_path, capsys):
                     "--seed", "1", "--out", str(tmp_path / "ev")])
     assert code == 1
     assert capsys.readouterr().out == ""
+
+
+def test_segments_split_only_at_newline(tmp_path, capsys):
+    # U+2028, U+0085, \x0b, \x0c and \x1c-\x1e are line breaks to
+    # str.splitlines() but not to these files; CRLF reads like LF.
+    en, ar = _eval_inputs(tmp_path)
+    out_dir = tmp_path / "ev"
+    assert run_cli(["sample-eval", "--en", str(en), "--ar", str(ar), "--n", "2",
+                    "--seed", "1", "--out", str(out_dir)]) == 0
+    outputs = tmp_path / "outputs.txt"
+    outputs.write_text("مرحبا بكم\r\na\x0bb\x0cc\x1cd\x1de\x1ef\n", encoding="utf-8",
+                       newline="")
+    capsys.readouterr()
+    assert run_cli(["report", "--pairs", str(out_dir / "pairs.jsonl"),
+                    "--outputs", str(outputs), "--name", "x"]) == 0
+
+    hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+    hyp.write_bytes("a\u0085b c\r\nd e\n".encode("utf-8"))
+    ref.write_bytes(b"a b c\nd e")
+    assert run_cli(["score", "--hyp", str(hyp), "--ref", str(ref), "--metric", "chrf"]) == 0
+    assert capsys.readouterr().out.strip().endswith("n=2")
+
+
+def test_report_non_utf8_pairs_is_malformed_line(tmp_path, caplog):
+    en, ar = _eval_inputs(tmp_path)
+    out_dir = tmp_path / "ev"
+    assert run_cli(["sample-eval", "--en", str(en), "--ar", str(ar), "--n", "2",
+                    "--seed", "1", "--out", str(out_dir)]) == 0
+    pairs = out_dir / "pairs.jsonl"
+    lines = pairs.read_bytes().splitlines(keepends=True)
+    pairs.write_bytes(lines[0] + lines[1].replace(b'"s"', b'"\xff"'))
+    outputs = tmp_path / "outputs.txt"
+    outputs.write_text("a\nb\n", encoding="utf-8")
+    code = run_cli(["report", "--pairs", str(pairs), "--outputs", str(outputs), "--name", "x"])
+    assert code == 1
+    assert f"{pairs} line 2: not UTF-8" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
+def test_score_non_utf8_hypothesis_exits_one(tmp_path, caplog):
+    hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+    hyp.write_bytes(b"a b\n\xff c\n")
+    ref.write_text("a b\nc\n", encoding="utf-8")
+    assert run_cli(["score", "--hyp", str(hyp), "--ref", str(ref)]) == 1
+    assert f"{hyp}: not UTF-8 at byte 4" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
+def test_filter_code_null_response_names_its_line(tmp_path, caplog):
+    src = tmp_path / "records.jsonl"
+    pipeline.write_records(
+        src, [{"instruction": "a", "response": "b"}, {"instruction": "c", "response": None}]
+    )
+    code = run_cli(["filter-code", "--in", str(src), "--out", str(tmp_path / "kept.jsonl")])
+    assert code == 1
+    assert f"{src} line 2: field 'response' is null, not a string" in caplog.text

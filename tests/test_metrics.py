@@ -223,10 +223,17 @@ def test_rouge_matches_oracle_random(rng):
 
 
 def test_lcs_matches_full_table_oracle(rng):
-    vocab = ["a", "b", "c", "d"]
-    for _ in range(200):
-        a = list(rng.choice(vocab, size=int(rng.integers(0, 12))))
-        b = list(rng.choice(vocab, size=int(rng.integers(0, 12))))
+    # Lengths cross the 64-bit word boundaries of the bit-parallel kernel; an
+    # alphabet of 1 token makes every position match, one of 50 few of them.
+    edges = [0, 1, 63, 64, 65, 128, 129, 200]
+    for _ in range(300):
+        vocab = [f"t{k}" for k in range(int(rng.integers(1, 51)))]
+        sizes = [
+            int(rng.choice(edges)) if rng.random() < 0.3 else int(rng.integers(0, 201))
+            for _ in range(2)
+        ]
+        a = list(rng.choice(vocab, size=sizes[0]))
+        b = list(rng.choice(vocab, size=sizes[1]))
         assert metrics.lcs_length(a, b) == naive_lcs(a, b)
 
 
@@ -275,6 +282,40 @@ def test_evaluate_pairs_matches_components(rng):
     assert report.bleu == metrics.bleu_corpus(hyps, refs)
     assert report.chrf_pp == metrics.chrf_pp(hyps, refs)
     assert report.rouge_l == pytest.approx(naive_rouge_l_corpus(hyps, refs), abs=1e-9)
+
+
+_AR_WORDS = "كتاب قلم مدرسة بيت شجرة نهر طريق قمر"
+PINNED_PAIRS = [
+    ("the cat sat on the mat.", "the cat is on the mat."),
+    ("مرحبا بكم في المدينة", "أهلا بكم في المدينة الكبيرة"),
+    ("", "reference only"),
+    ("hypothesis only", ""),
+    ("", ""),
+    ("tab\tseparated\xa0nbsp words\nand a line-\nbreak",
+     "tab separated nbsp\xa0words\tand a linebreak"),
+    ("Привет, мир! 3.5 km", "привет мир 3,5 км"),
+    ("日本語のテキストです", "日本語 の テキスト"),
+    (
+        " ".join(f"w{i * 7 % 23}" for i in range(150)) + " " + _AR_WORDS * 3,
+        " ".join(f"w{i * 5 % 23}" for i in range(140)) + " " + _AR_WORDS[::-1] * 2,
+    ),
+    (
+        " ".join(_AR_WORDS.split()[i % 8] for i in range(130)),
+        " ".join(_AR_WORDS.split()[i * 3 % 8] for i in range(120)),
+    ),
+]
+
+
+def test_evaluate_pairs_pinned_scores():
+    # Recorded with the full-table LCS and per-order n-gram counters; the
+    # kernels must reproduce every bit, so the comparison is ==.
+    report = metrics.evaluate_pairs(PINNED_PAIRS)
+    assert report == metrics.MetricReport(
+        bleu=6.006685973950535,
+        rouge_l=39.07926605504587,
+        chrf_pp=47.40524874709932,
+        n_pairs=10,
+    )
 
 
 def test_report_bounds_validated():

@@ -362,3 +362,25 @@ def test_instruction_records_load(tmp_path):
     records = pipeline.load_instruction_records(path)
     assert records[0].id == "7" and records[0].source == "src"
     assert records[1].id == "1" and records[1].source == "r"
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ({"response": "r"}, "missing field 'instruction'"),
+        ({"instruction": "i"}, "missing field 'response'"),
+        ({"instruction": None, "response": "r"}, "field 'instruction' is null, not a string"),
+        ({"instruction": "i", "response": 3}, "field 'response' is int, not a string"),
+        ({"instruction": "i", "response": "r", "system": None},
+         "field 'system' is null, not a string"),
+        ({"instruction": "", "response": "r"}, "instruction must be non-empty"),
+    ],
+    ids=["no-instruction", "no-response", "null-instruction", "int-response", "null-system",
+         "empty-instruction"],
+)
+def test_instruction_records_reject_bad_fields_with_line(tmp_path, row, reason):
+    path = tmp_path / "r.jsonl"
+    pipeline.write_records(path, [{"instruction": "ok", "response": "ok", "system": "s"}, row])
+    with pytest.raises(pipeline.MalformedLine) as err:
+        pipeline.load_instruction_records(path)
+    assert str(err.value) == f"{path} line 2: {reason}"
