@@ -26,8 +26,8 @@ from .state import JobState, run_fingerprint
 
 log = logging.getLogger("mtpipe")
 
-# --config keys and the type of each value. Every key is also a flag of the
-# endpoint commands, with the same name as its argparse dest.
+# --config keys and the type of each value. Each key is also a flag of the
+# endpoint commands (``--max-tokens`` for max_tokens), generated from this table.
 _CONFIG_KEYS = {
     "base_url": str,
     "model": str,
@@ -50,7 +50,7 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     values = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(_read_lines(path), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -76,7 +76,7 @@ def _endpoint_from(args: argparse.Namespace) -> tuple[EndpointConfig, int]:
     )
     concurrency = values.pop("concurrency", _DEFAULT_CONCURRENCY)
     if concurrency < 1:
-        raise ToolError("concurrency must be at least 1")
+        raise UsageError("concurrency must be at least 1")
     if not values.get("base_url") or not values.get("model"):
         raise ToolError("an endpoint needs --base-url and --model (or config entries)")
     try:
@@ -155,7 +155,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
 
 def _split_lines(text: str) -> list[str]:
     """One segment per line. Only "\n" ends a line, and one "\r" before it is
-    dropped, so U+2028, U+0085 and the other breaks str.splitlines() knows
+    dropped, so U+2028, U+0085, form feeds and the other Unicode line breaks
     stay inside a segment. A final newline adds no empty segment."""
     lines = text.split("\n")
     if not lines[-1]:
@@ -335,14 +335,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def _add_endpoint_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--base-url", dest="base_url", help="endpoint base URL")
-    sub.add_argument("--model", help="model name sent in requests")
-    sub.add_argument("--timeout", type=float, default=None)
-    sub.add_argument("--max-retries", dest="max_retries", type=int, default=None)
-    sub.add_argument("--backoff-base", dest="backoff_base", type=float, default=None)
-    sub.add_argument("--temperature", type=float, default=None)
-    sub.add_argument("--max-tokens", dest="max_tokens", type=int, default=None)
-    sub.add_argument("--concurrency", type=int, default=None)
+    for key, kind in _CONFIG_KEYS.items():
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
     sub.add_argument("--state", required=True, help="resumable job state file")
 
 
@@ -454,10 +448,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         log.error("%s", exc)
         return 2
-    except ToolError as exc:
-        log.error("%s", exc)
-        return 1
-    except OSError as exc:
+    except (ToolError, OSError) as exc:
         log.error("%s", exc)
         return 1
 

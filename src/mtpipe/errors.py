@@ -7,3 +7,7 @@ class ToolError(Exception):
 
 class LengthMismatch(ToolError):
     """Two sequences that must align index by index differ in length."""
+
+
+class ShapeMismatch(ToolError):
+    """Tensors that must agree on shape or layout do not."""

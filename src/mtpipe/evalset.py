@@ -153,22 +153,24 @@ def _item_record(item: QuestionItem) -> dict:
 
 def _item_from(obj: dict) -> QuestionItem:
     return QuestionItem(
-        subject=str(obj["subject"]), item_id=str(obj["item_id"]), text=str(obj["text"])
+        subject=str(obj["subject"]), item_id=str(obj["item_id"]), text=obj["text"]
     )
 
 
 def load_question_items(path: str | Path) -> list[QuestionItem]:
-    """Read {subject, item_id, text} records from a corpus-format file."""
-    return [_item_from(obj) for obj in pipeline.read_records(path, required=_ITEM_FIELDS)]
+    """Read {subject, item_id, text} records from a corpus-format file. The
+    text must be a string; subject and item_id may also be numbers."""
+    records = pipeline.read_text_records(path, _ITEM_FIELDS, ("text",))
+    return [_item_from(obj) for obj in records]
 
 
 def load_aligned_pairs(path: str | Path) -> list[AlignedPair]:
     """Read the {subject, item_id, text, reference} records write_eval_set
-    puts in pairs.jsonl."""
-    return [
-        AlignedPair(en=_item_from(obj), ar_reference=str(obj["reference"]))
-        for obj in pipeline.read_records(path, required=_ITEM_FIELDS + ("reference",))
-    ]
+    puts in pairs.jsonl; text and reference must be strings."""
+    records = pipeline.read_text_records(
+        path, _ITEM_FIELDS + ("reference",), ("text", "reference")
+    )
+    return [AlignedPair(en=_item_from(obj), ar_reference=obj["reference"]) for obj in records]
 
 
 def write_eval_set(

@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ToolError
-from .quant import SCALE_SUFFIX, NameCollision, scale_of
+from .errors import ShapeMismatch, ToolError
+from .quant import NameCollision, dequantized, scale_companions
 from .tensorio import (
     Checkpoint,
     DType,
@@ -23,13 +23,8 @@ from .tensorio import (
     TensorInfo,
     TensorStream,
     chunks,
-    tensor_as_f64,
     tensor_from_f64,
 )
-
-
-class ShapeMismatch(ToolError):
-    pass
 
 
 class TOutOfRange(ToolError):
@@ -114,34 +109,6 @@ def _output_dtype(da: DType, db: DType) -> DType:
     return DType.F32
 
 
-def _weights(src) -> dict[str, str | None]:
-    """Names to merge, each mapped to the scale companion that dequantizes it.
-
-    An 8-bit tensor's ``<name>.scale`` is consumed with it rather than
-    merged; an 8-bit tensor without one is taken at scale 1.
-    """
-    weights: dict[str, str | None] = {}
-    companions = set()
-    for name, info in src.tensors.items():
-        scale_name = f"{name}{SCALE_SUFFIX}"
-        if info.dtype is DType.F8_E4M3 and scale_name in src.tensors:
-            scale = src.tensors[scale_name]
-            if scale.dtype is not DType.F32 or scale.numel != 1:
-                raise ShapeMismatch(f"{scale_name!r} must be one float32 value")
-            weights[name] = scale_name
-            companions.add(scale_name)
-        else:
-            weights[name] = None
-    return {name: c for name, c in weights.items() if name not in companions}
-
-
-def _dequantized(src, name: str, scale_name: str | None) -> np.ndarray:
-    values = tensor_as_f64(src.read(name))
-    if scale_name is not None:
-        values *= scale_of(src.read(scale_name))
-    return values
-
-
 def merge_stream(x, y, spec: MergeSpec) -> TensorStream:
     """Merge two checkpoints one tensor at a time.
 
@@ -153,7 +120,7 @@ def merge_stream(x, y, spec: MergeSpec) -> TensorStream:
     or copied verbatim, with their scale, under MissingPolicy.COPY. Output
     metadata records the interpolation weight.
     """
-    wx, wy = _weights(x), _weights(y)
+    wx, wy = scale_companions(x), scale_companions(y)
     infos: dict[str, TensorInfo] = {}
     producers: dict[str, Callable[[], Tensor]] = {}
     names = wx.keys() | wy.keys()
@@ -185,8 +152,8 @@ def _merge_one(x, y, name: str, scale_x: str | None, scale_y: str | None,
                info: TensorInfo, spec: MergeSpec) -> Tensor:
     if info.numel == 0:
         return Tensor(info.dtype, info.shape, b"")
-    a = _dequantized(x, name, scale_x)
-    b = _dequantized(y, name, scale_y)
+    a = dequantized(x, name, scale_x)
+    b = dequantized(y, name, scale_y)
     merged = slerp_vec(a, b, spec.t, spec.parallel_eps, out=a)
     del b
     return tensor_from_f64(merged, info.dtype, info.shape)

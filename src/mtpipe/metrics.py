@@ -226,20 +226,14 @@ def chrf_pp(hyps: Sequence[str], refs: Sequence[str]) -> float:
 # --------------------------------------------------------------------------
 
 
+# [^\W_] matches exactly the characters for which str.isalnum() is true.
+_ALNUM_RUN = re.compile(r"[^\W_]+")
+
+
 def rouge_tokens(text: str) -> list[str]:
     """Unicode-aware word tokens: maximal letter/digit runs in any script,
     lowercased where the script has case."""
-    tokens: list[str] = []
-    run: list[str] = []
-    for ch in text:
-        if ch.isalnum():
-            run.append(ch)
-        elif run:
-            tokens.append("".join(run).lower())
-            run.clear()
-    if run:
-        tokens.append("".join(run).lower())
-    return tokens
+    return [run.lower() for run in _ALNUM_RUN.findall(text)]
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -145,15 +146,7 @@ class FilterStats:
 
     def to_json(self) -> str:
         return json.dumps(
-            {
-                "candidates": self.candidates,
-                "accepted": self.accepted,
-                "rejected": self.rejected,
-                "unparseable": self.unparseable,
-                "acceptance_rate": self.acceptance_rate,
-            },
-            indent=2,
-            sort_keys=True,
+            {**asdict(self), "acceptance_rate": self.acceptance_rate}, indent=2, sort_keys=True
         )
 
 
@@ -173,25 +166,9 @@ def filter_parallel_corpus(
     are dropped from the accepted output but counted separately from rejects.
     Input order is preserved.
     """
-    accepted: list[tuple[str, str]] = []
-    n_total = n_accept = n_reject = n_unparseable = 0
-
-    def tally(pair: tuple[str, str], reply: str) -> None:
-        nonlocal n_total, n_accept, n_reject, n_unparseable
-        n_total += 1
-        verdict = parse_verdict(reply)
-        if verdict.kind is VerdictKind.ACCEPT:
-            n_accept += 1
-            accepted.append(pair)
-        elif verdict.kind is VerdictKind.REJECT:
-            n_reject += 1
-        else:
-            n_unparseable += 1
-
     if callable(judge):
         # Offline path: judge pair by pair without materializing prompts.
-        for pair in pairs:
-            tally(pair, judge(render_judge_prompt(*pair)))
+        judged = ((pair, judge(render_judge_prompt(*pair))) for pair in pairs)
     else:
         if state is None:
             raise ValueError("endpoint judging requires a job state")
@@ -205,10 +182,19 @@ def filter_parallel_corpus(
         else:
             with JobState(state, batch_fingerprint(items, judge)) as job:
                 replies = run_batch(items, judge, concurrency, job)
-        for pair, reply in zip(pair_list, replies):
-            tally(pair, reply)
+        judged = zip(pair_list, replies)
 
-    stats = FilterStats(n_total, n_accept, n_reject, n_unparseable)
+    accepted: list[tuple[str, str]] = []
+    counts = Counter()
+    for pair, reply in judged:
+        kind = parse_verdict(reply).kind
+        counts[kind] += 1
+        if kind is VerdictKind.ACCEPT:
+            accepted.append(pair)
+    stats = FilterStats(
+        counts.total(), counts[VerdictKind.ACCEPT], counts[VerdictKind.REJECT],
+        counts[VerdictKind.UNPARSEABLE],
+    )
     return accepted, stats
 
 
@@ -351,9 +337,24 @@ def read_records(
             yield record
 
 
+def read_text_records(
+    path: str | Path, required: Sequence[str], text: Sequence[str]
+) -> Iterator[dict]:
+    """read_records, where each ``text`` field an object has must be a string;
+    one that is not is a MalformedLine naming its line."""
+    for line_no, obj in enumerate(read_records(path, required=required), start=1):
+        for name in text:
+            value = obj.get(name, "")
+            if not isinstance(value, str):
+                kind = "null" if value is None else type(value).__name__
+                raise MalformedLine(str(path), line_no, f"field {name!r} is {kind}, not a string")
+        yield obj
+
+
 def load_parallel_pairs(path: str | Path) -> list[tuple[str, str]]:
-    """Read {ar, en} pair records as (ar, en) tuples."""
-    return [(obj["ar"], obj["en"]) for obj in read_records(path, required=("ar", "en"))]
+    """Read {ar, en} pair records, both fields strings, as (ar, en) tuples."""
+    fields = ("ar", "en")
+    return [(obj["ar"], obj["en"]) for obj in read_text_records(path, fields, fields)]
 
 
 def write_parallel_pairs(path: str | Path, pairs: Iterable[tuple[str, str]]) -> int:
@@ -365,13 +366,9 @@ def load_instruction_records(path: str | Path) -> list[InstructionRecord]:
     strings, and ``system`` too when present; a record that breaks this, or
     has an empty instruction, is a MalformedLine naming its line."""
     records = []
-    lines = read_records(path, required=("instruction", "response"))
+    required = ("instruction", "response")
+    lines = read_text_records(path, required, required + ("system",))
     for line_no, obj in enumerate(lines, start=1):
-        for name in ("instruction", "response", "system"):
-            value = obj.get(name, "")
-            if not isinstance(value, str):
-                kind = "null" if value is None else type(value).__name__
-                raise MalformedLine(str(path), line_no, f"field {name!r} is {kind}, not a string")
         try:
             records.append(
                 InstructionRecord(

@@ -15,8 +15,8 @@ from typing import Iterator
 import numpy as np
 
 from . import fp8
-from .errors import ToolError
-from .fp8 import NonFiniteInput, compute_scale
+from .errors import ShapeMismatch, ToolError
+from .fp8 import compute_scale
 from .tensorio import (
     Checkpoint,
     DType,
@@ -26,6 +26,7 @@ from .tensorio import (
     chunks,
     f64_chunks,
     tensor_as_f64,
+    tensor_from_f64,
 )
 
 SCALE_SUFFIX = ".scale"
@@ -72,13 +73,9 @@ def quantize_fp8(t: Tensor) -> QuantizedTensor:
     if t.dtype is DType.F8_E4M3:
         raise AlreadyQuantized("tensor already carries 8-bit codes")
     values = tensor_as_f64(t)
-    if values.size and not np.isfinite(values).all():
-        raise NonFiniteInput("quantization requires finite elements")
     scale = float(np.float32(compute_scale(values)))
-    codes = np.empty(values.size, dtype=np.uint8)
-    for s in chunks(values.size):
-        codes[s] = fp8.encode_array(values[s] / scale)
-    return QuantizedTensor(Tensor(DType.F8_E4M3, t.shape, codes.tobytes()), scale)
+    values /= scale
+    return QuantizedTensor(tensor_from_f64(values, DType.F8_E4M3, t.shape), scale)
 
 
 def _dequantize(codes: np.ndarray, scale: float) -> np.ndarray:
@@ -95,9 +92,35 @@ def _scale_tensor(scale: float) -> Tensor:
     return Tensor(DType.F32, (), np.float32(scale).tobytes())
 
 
-def scale_of(t: Tensor) -> float:
-    """Read the scale value out of a scalar float32 companion tensor."""
-    return float(np.frombuffer(t.data, dtype="<f4")[0])
+def scale_companions(src) -> dict[str, str | None]:
+    """Each tensor of ``src`` but the ``<name>.scale`` companions, mapped to
+    its companion or None. Only an 8-bit tensor has one, and it must hold one
+    float32 value (ShapeMismatch otherwise); without one the scale is 1."""
+    weights: dict[str, str | None] = dict.fromkeys(src.tensors)
+    for name, info in src.tensors.items():
+        companion = f"{name}{SCALE_SUFFIX}"
+        if info.dtype is DType.F8_E4M3 and companion in src.tensors:
+            scale = src.tensors[companion]
+            if scale.dtype is not DType.F32 or scale.numel != 1:
+                raise ShapeMismatch(f"{companion!r} must be one float32 value")
+            weights[name] = companion
+    companions = set(weights.values())
+    return {name: c for name, c in weights.items() if name not in companions}
+
+
+def read_scale(src, companion: str | None) -> float:
+    """The scale a companion from scale_companions holds; 1.0 for None."""
+    if companion is None:
+        return 1.0
+    return float(np.frombuffer(src.read(companion).data, dtype="<f4")[0])
+
+
+def dequantized(src, name: str, companion: str | None) -> np.ndarray:
+    """A tensor's values at float64, times its companion's scale if it has one."""
+    values = tensor_as_f64(src.read(name))
+    if companion is not None:
+        values *= read_scale(src, companion)
+    return values
 
 
 @dataclass(frozen=True)
@@ -192,11 +215,12 @@ def validate_quantization(
     original: Checkpoint, quantized: Checkpoint, policy: QuantPolicy
 ) -> list[TensorAudit]:
     """Audit dequantization error tensor by tensor (see audit_tensor)."""
+    companions = scale_companions(quantized)
     audits: list[TensorAudit] = []
     for name, t in original.tensors.items():
         q = None
         if not policy.skips(name):
-            scale = scale_of(quantized.tensors[f"{name}{SCALE_SUFFIX}"])
+            scale = read_scale(quantized, companions[name])
             q = QuantizedTensor(quantized.tensors[name], scale)
         audits.append(audit_tensor(name, t, q))
     return audits

@@ -56,13 +56,15 @@ class JobState:
         if self.state_path.exists():
             try:
                 meta = json.loads(self.state_path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
+                if not isinstance(meta, dict):
+                    raise ValueError("not a JSON object")
+                recorded_pos = int(meta.get("journal_pos", 0))
+            except (OSError, ValueError, TypeError) as exc:
                 raise StateCorrupt(f"unreadable state file {self.state_path}: {exc}") from exc
             if meta.get("fingerprint") != self.fingerprint:
                 raise StateMismatch(
                     f"state at {self.state_path} was created for a different run"
                 )
-            recorded_pos = int(meta.get("journal_pos", 0))
 
         if self.journal_path.exists():
             raw = self.journal_path.read_bytes()
@@ -98,7 +100,8 @@ class JobState:
         return self._journal.tell()
 
     def record(self, index: int, text: str) -> None:
-        """Durably append one completed item before it is reported."""
+        """Append one completed item before it is reported. The journal is
+        flushed, not fsynced, so a power loss can still drop the item."""
         line = json.dumps({"i": index, "text": text}, ensure_ascii=False)
         self._journal.write(line.encode("utf-8") + b"\n")
         self._journal.flush()

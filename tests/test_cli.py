@@ -451,8 +451,9 @@ def test_config_value_of_the_wrong_type_exits_one(tmp_path, caplog):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--timeout", "0"], ["--backoff-base", "0"], ["--max-retries", "-1"]],
-    ids=["timeout", "backoff-base", "max-retries"],
+    [["--timeout", "0"], ["--backoff-base", "0"], ["--max-retries", "-1"],
+     ["--concurrency", "0"]],
+    ids=["timeout", "backoff-base", "max-retries", "concurrency"],
 )
 def test_invalid_endpoint_flag_exits_two(tmp_path, caplog, flags):
     pairs_path = tmp_path / "pairs.jsonl"
@@ -571,3 +572,93 @@ def test_filter_code_null_response_names_its_line(tmp_path, caplog):
     code = run_cli(["filter-code", "--in", str(src), "--out", str(tmp_path / "kept.jsonl")])
     assert code == 1
     assert f"{src} line 2: field 'response' is null, not a string" in caplog.text
+
+
+def test_config_zero_concurrency_exits_two(tmp_path, caplog):
+    config = tmp_path / "run.cfg"
+    config.write_text("base_url=http://127.0.0.1:1\nmodel=m\nconcurrency=0\n", encoding="utf-8")
+    pairs_path = tmp_path / "pairs.jsonl"
+    pipeline.write_records(pairs_path, [{"ar": "أ", "en": "a"}])
+    code = run_cli(["--config", str(config), "judge", "--in", str(pairs_path),
+                    "--accepted", str(tmp_path / "a"), "--state", str(tmp_path / "s")])
+    assert code == 2
+    assert "concurrency must be at least 1" in caplog.text
+    assert not (tmp_path / "s").exists()
+
+
+def test_config_non_utf8_is_one_line_error(tmp_path, caplog):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"base_url=http://127.0.0.1:1\nmodel=\xff\n")
+    pairs_path = tmp_path / "pairs.jsonl"
+    pipeline.write_records(pairs_path, [{"ar": "أ", "en": "a"}])
+    code = run_cli(["--config", str(config), "judge", "--in", str(pairs_path),
+                    "--accepted", str(tmp_path / "a"), "--state", str(tmp_path / "s")])
+    assert code == 1
+    [record] = caplog.records
+    assert record.getMessage().startswith(f"{config}: not UTF-8 at byte 34")
+    assert "\n" not in record.getMessage()
+
+
+def test_config_splits_only_at_newline(tmp_path):
+    # A form feed or U+2028 in a value used to end the line there.
+    config = tmp_path / "run.cfg"
+    config.write_text("base_url=http://127.0.0.1:1\r\nmodel=a\x0cb\u2028c", encoding="utf-8",
+                      newline="")
+    args = cli.build_parser().parse_args(
+        ["--config", str(config), "judge", "--in", "p", "--accepted", "a", "--state", "s"]
+    )
+    cfg, _ = cli._endpoint_from(args)
+    assert cfg.base_url == "http://127.0.0.1:1"
+    assert cfg.model_name == "a\x0cb\u2028c"
+
+
+@pytest.mark.parametrize(
+    "record, field, kind",
+    [({"ar": 5, "en": "b"}, "ar", "int"), ({"ar": "a", "en": None}, "en", "null"),
+     ({"ar": "a", "en": ["b"]}, "en", "list")],
+    ids=["int", "null", "list"],
+)
+def test_judge_non_string_pair_field_names_its_line(tmp_path, caplog, record, field, kind):
+    pairs_path = tmp_path / "pairs.jsonl"
+    pipeline.write_records(pairs_path, [{"ar": "أ", "en": "a"}, record])
+    code = run_cli(["judge", "--in", str(pairs_path), "--accepted", str(tmp_path / "a"),
+                    "--state", str(tmp_path / "s"), "--base-url", "http://127.0.0.1:1",
+                    "--model", "m"])
+    assert code == 1
+    assert f"{pairs_path} line 2: field {field!r} is {kind}, not a string" in caplog.text
+    assert not (tmp_path / "s").exists()
+
+
+def test_sample_eval_null_text_names_its_line(tmp_path, caplog):
+    en, ar = _eval_inputs(tmp_path)
+    rows = list(pipeline.read_records(en))
+    rows[3]["text"] = None
+    pipeline.write_records(en, rows)
+    out_dir = tmp_path / "ev"
+    code = run_cli(["sample-eval", "--en", str(en), "--ar", str(ar), "--n", "2",
+                    "--seed", "1", "--out", str(out_dir)])
+    assert code == 1
+    assert f"{en} line 4: field 'text' is null, not a string" in caplog.text
+    assert not out_dir.exists()
+
+
+def test_report_numeric_reference_names_its_line(tmp_path, caplog):
+    pairs = tmp_path / "pairs.jsonl"
+    pipeline.write_records(pairs, [{"subject": "s", "item_id": 0, "text": "t", "reference": 7}])
+    outputs = tmp_path / "outputs.txt"
+    outputs.write_text("r\n", encoding="utf-8")
+    code = run_cli(["report", "--pairs", str(pairs), "--outputs", str(outputs), "--name", "x"])
+    assert code == 1
+    assert f"{pairs} line 1: field 'reference' is int, not a string" in caplog.text
+
+
+def test_sample_eval_keeps_numeric_subject_and_item_id(tmp_path, capsys):
+    en, ar = tmp_path / "en.jsonl", tmp_path / "ar.jsonl"
+    pipeline.write_records(en, [{"subject": 1, "item_id": i, "text": f"q {i}"} for i in range(3)])
+    pipeline.write_records(ar, [{"subject": "1", "item_id": i, "text": f"a {i}"} for i in range(3)])
+    out_dir = tmp_path / "ev"
+    assert run_cli(["sample-eval", "--en", str(en), "--ar", str(ar), "--n", "3",
+                    "--seed", "1", "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().out.strip() == "sampled=3 aligned=3 misses=0"
+    rows = list(pipeline.read_records(out_dir / "pairs.jsonl"))
+    assert {(r["subject"], r["item_id"]) for r in rows} == {("1", "0"), ("1", "1"), ("1", "2")}

@@ -321,3 +321,23 @@ def test_evaluate_pairs_pinned_scores():
 def test_report_bounds_validated():
     with pytest.raises(ValueError):
         metrics.MetricReport(bleu=101.0, rouge_l=0.0, chrf_pp=0.0, n_pairs=1)
+
+
+def test_rouge_tokens_match_isalnum_runs_over_every_code_point():
+    # The old tokenizer, one character at a time, is the reference.
+    def isalnum_runs(text):
+        tokens, run = [], []
+        for ch in text:
+            if ch.isalnum():
+                run.append(ch)
+            elif run:
+                tokens.append("".join(run).lower())
+                run.clear()
+        if run:
+            tokens.append("".join(run).lower())
+        return tokens
+
+    every = "".join(map(chr, range(0x110000)))
+    apart = " ".join(every)
+    assert metrics.rouge_tokens(apart) == isalnum_runs(apart)
+    assert metrics.rouge_tokens(every) == isalnum_runs(every)

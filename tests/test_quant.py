@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mtpipe import fp8, quant
+from mtpipe import fp8, merge, quant
 from mtpipe.tensorio import Checkpoint, DType, Tensor, tensor_as_f64, tensor_from_f64
 
 
@@ -150,3 +150,19 @@ def test_order_independence_of_per_tensor_results(rng):
     reordered = dict(reversed(list(tensors.items())))
     backward = quant.quantize_checkpoint(Checkpoint(tensors=reordered), quant.QuantPolicy())
     assert forward.tensors == backward.tensors
+
+
+@pytest.mark.parametrize(
+    "companion",
+    [tensor_from_f64(np.array([0.5]), DType.F16, ()), f32_tensor([0.5, 0.25])],
+    ids=["f16", "two-values"],
+)
+def test_audit_and_merge_reject_a_bad_scale_companion_alike(rng, companion):
+    original = Checkpoint(tensors={"w": f32_tensor(rng.uniform(-1, 1, size=4))})
+    quantized = quant.quantize_checkpoint(original, quant.QuantPolicy())
+    bad = Checkpoint(tensors={"w": quantized.tensors["w"], "w.scale": companion})
+    message = "'w.scale' must be one float32 value"
+    with pytest.raises(merge.ShapeMismatch, match=message):
+        quant.validate_quantization(original, bad, quant.QuantPolicy())
+    with pytest.raises(merge.ShapeMismatch, match=message):
+        merge.merge_checkpoints(bad, quantized, merge.MergeSpec())

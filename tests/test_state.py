@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from mtpipe.state import JobState, StateMismatch, run_fingerprint
+from mtpipe import cli, pipeline
+from mtpipe.state import JobState, StateCorrupt, StateMismatch, run_fingerprint
 
 
 def test_fingerprint_sensitive_to_parts_and_boundaries():
@@ -74,3 +75,24 @@ def test_unicode_payloads_survive(tmp_path):
         state.record(0, text)
     with JobState(path, "fp") as state:
         assert state.completed[0] == text
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe", b"[]", b'{"fingerprint": "fp", "journal_pos": "x"}'],
+    ids=["not-utf8", "json-list", "journal-pos-not-a-number"],
+)
+def test_unreadable_state_file_is_state_corrupt(tmp_path, caplog, content):
+    path = tmp_path / "job.state"
+    path.write_bytes(content)
+    with pytest.raises(StateCorrupt, match="unreadable state file"):
+        JobState(path, "fp")
+
+    records = tmp_path / "records.jsonl"
+    pipeline.write_records(records, [{"instruction": "a", "response": "b"}])
+    out = tmp_path / "kept.jsonl"
+    args = ["filter-code", "--in", str(records), "--out", str(out), "--state", str(path)]
+    assert cli.main(args) == 1
+    [record] = caplog.records
+    assert "unreadable state file" in record.getMessage()
+    assert not out.exists()
