@@ -9,7 +9,7 @@ bounded draws. No platform RNG is involved anywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence, TypeVar
 
@@ -118,17 +118,7 @@ def render_report_row(system_name: str, report: MetricReport) -> str:
 
 def report_to_json(system_name: str, report: MetricReport) -> str:
     """Full-precision machine-readable form of a report."""
-    return json.dumps(
-        {
-            "system": system_name,
-            "bleu": report.bleu,
-            "rouge_l": report.rouge_l,
-            "chrf_pp": report.chrf_pp,
-            "n_pairs": report.n_pairs,
-        },
-        indent=2,
-        sort_keys=True,
-    )
+    return json.dumps({"system": system_name, **asdict(report)}, indent=2, sort_keys=True)
 
 
 def build_report(

@@ -1,23 +1,26 @@
 """Client for OpenAI-compatible chat-completion endpoints.
 
-One request per prompt, sent as a single user message. Transient failures
-(connection errors, 429, 5xx) are retried with exponential backoff plus
-jitter; other 4xx responses fail immediately. Batch runs keep at most the
+One request per prompt, sent as a single user message on the keep-alive
+connection each thread keeps per endpoint. Transient failures (connection
+errors, 429, 5xx) are retried with exponential backoff plus jitter; other
+statuses, redirects included, fail at once. Batch runs keep at most the
 configured number of requests in flight, return outputs in item order
 regardless of completion order, and journal every completion through a
-JobState before reporting it so interrupted runs resume without re-sending
-finished items.
+JobState before reporting it, so a resumed run skips finished items.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
-
-import requests
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from urllib.parse import urlsplit
+from urllib.request import getproxies, proxy_bypass
 
 from .errors import ToolError
 from .state import JobState, StateMismatch, run_fingerprint
@@ -47,6 +50,11 @@ class EndpointConfig:
     max_tokens: int = 2048
 
     def __post_init__(self) -> None:
+        url = urlsplit(self.base_url)  # url.port raises ValueError outside 0-65535
+        if url.scheme not in ("http", "https") or not url.hostname or url.port == 0:
+            raise ValueError(f"base_url must be an http(s) URL with a host, got {self.base_url!r}")
+        if not math.isfinite(self.temperature):
+            raise ValueError("temperature must be finite")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
         if self.max_retries < 0:
@@ -64,58 +72,80 @@ class BatchItem:
 _thread_local = threading.local()
 
 
-def _session() -> requests.Session:
-    session = getattr(_thread_local, "session", None)
-    if session is None:
-        session = requests.Session()
-        _thread_local.session = session
-    return session
+def _connection(cfg: EndpointConfig) -> tuple[HTTPConnection, str]:
+    """This thread's connection to the endpoint and the request target for it."""
+    connections = _thread_local.__dict__.setdefault("connections", {})
+    key = (cfg.base_url, cfg.timeout)
+    return connections.get(key) or connections.setdefault(key, _open(*key))
+
+
+def _open(base_url: str, timeout: float) -> tuple[HTTPConnection, str]:
+    """Connect through HTTP(S)_PROXY unless NO_PROXY names the host."""
+    url = base_url.rstrip("/") + "/v1/chat/completions"
+    parts = urlsplit(url)
+    cls = HTTPSConnection if parts.scheme == "https" else HTTPConnection
+    proxy = getproxies().get(parts.scheme)
+    if not proxy or proxy_bypass(parts.netloc):
+        return cls(parts.hostname, parts.port, timeout=timeout), parts.path
+    via = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+    conn = cls(via.hostname, via.port or 80, timeout=timeout)
+    if parts.scheme == "http":  # an HTTP proxy takes the absolute URI
+        return conn, url
+    conn.set_tunnel(parts.hostname, parts.port)
+    return conn, parts.path
+
+
+def _post(conn: HTTPConnection, target: str, body: bytes, headers: dict) -> tuple[int, bytes]:
+    """Send one request and read the whole reply. Any error closes the connection;
+    a reused one the server dropped while idle gets one resend on a new one."""
+    for resend in (conn.sock is not None, False):
+        try:
+            conn.request("POST", target, body, headers)
+            response = conn.getresponse()
+            return response.status, response.read()
+        except BaseException as exc:
+            conn.close()
+            if not (resend and isinstance(exc, ConnectionError)):
+                raise
 
 
 def chat_complete(cfg: EndpointConfig, prompt: str) -> str:
     """Send one chat completion and return the first choice's content."""
-    url = cfg.base_url.rstrip("/") + "/v1/chat/completions"
-    body = {
+    body = json.dumps({
         "model": cfg.model_name,
         "messages": [{"role": "user", "content": prompt}],
         "temperature": cfg.temperature,
         "max_tokens": cfg.max_tokens,
-    }
-    headers = {}
+    }).encode("utf-8")
+    headers = {"Content-Type": "application/json"}
     if cfg.api_key:
         headers["Authorization"] = f"Bearer {cfg.api_key}"
 
     last_cause: Exception | None = None
     for attempt in range(cfg.max_retries + 1):
         try:
-            response = _session().post(url, json=body, headers=headers, timeout=cfg.timeout)
-        except requests.RequestException as exc:
+            status, data = _post(*_connection(cfg), body, headers)
+        except (OSError, HTTPException) as exc:
             last_cause = exc
         else:
-            status = response.status_code
             if 200 <= status < 300:
-                return _extract_content(response)
-            if status == 429 or status >= 500:
-                last_cause = ToolError(f"HTTP {status}: {response.text[:200]}")
-            else:
-                raise NonRetryable(f"HTTP {status}: {response.text[:200]}")
+                try:
+                    content = json.loads(data)["choices"][0]["message"]["content"]
+                except (ValueError, KeyError, IndexError, TypeError) as exc:
+                    raise MalformedResponse(f"no message content in response: {exc}") from exc
+                if not isinstance(content, str):
+                    raise MalformedResponse(f"content has type {type(content).__name__}")
+                return content
+            text = data.decode("utf-8", "replace")[:200]
+            if status != 429 and status < 500:
+                raise NonRetryable(f"HTTP {status}: {text}")
+            last_cause = ToolError(f"HTTP {status}: {text}")
         if attempt < cfg.max_retries:
             delay = cfg.backoff_base * (2**attempt)
             time.sleep(delay + random.uniform(0.0, delay / 2.0))
     raise ExhaustedRetries(
         f"gave up after {cfg.max_retries + 1} attempts: {last_cause}"
     ) from last_cause
-
-
-def _extract_content(response: requests.Response) -> str:
-    try:
-        payload = response.json()
-        content = payload["choices"][0]["message"]["content"]
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise MalformedResponse(f"no message content in response: {exc}") from exc
-    if not isinstance(content, str):
-        raise MalformedResponse(f"content has type {type(content).__name__}")
-    return content
 
 
 def batch_fingerprint(items: list[BatchItem], cfg: EndpointConfig) -> str:

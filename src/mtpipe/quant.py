@@ -193,7 +193,10 @@ def quantize_stream(src, policy: QuantPolicy) -> tuple[TensorStream, dict[str, T
                 audits[name] = audit_tensor(name, t, None)
                 yield t
                 continue
-            q = quantize_fp8(t)
+            try:
+                q = quantize_fp8(t)
+            except fp8.NonFiniteInput as exc:
+                raise fp8.NonFiniteInput(f"{name!r}: {exc}") from exc
             audits[name] = audit_tensor(name, t, q)
             scales[name] = q.scale
             yield q.codes

@@ -95,6 +95,22 @@ def test_quantize_failure_in_a_late_tensor_leaves_no_output(tmp_path, rng):
     assert [p.name for p in tmp_path.iterdir()] == ["model.safetensors"]
 
 
+def test_quantize_names_the_tensor_that_is_not_finite(tmp_path, rng, caplog):
+    src = tmp_path / "model.safetensors"
+    bad = rng.normal(size=16)
+    bad[5] = np.nan
+    tensors = {
+        "layer.6.w": tensor_from_f64(rng.normal(size=16), DType.BF16, (16,)),
+        "layer.7.w": tensor_from_f64(bad, DType.BF16, (16,)),
+    }
+    tio.write_checkpoint(Checkpoint(tensors=tensors), src)
+    out = tmp_path / "model-fp8.safetensors"
+    assert run_cli(["quantize", "--in", str(src), "--out", str(out)]) == 1
+    assert "'layer.7.w': scale computation requires finite values" in caplog.text
+    assert not out.exists()
+    assert not out.with_name(out.name + ".tmp").exists()
+
+
 def test_quantize_in_place_matches_a_separate_output(tmp_path, rng, capsys):
     src = tmp_path / "model.safetensors"
     _write_checkpoint(src, rng)
@@ -452,8 +468,8 @@ def test_config_value_of_the_wrong_type_exits_one(tmp_path, caplog):
 @pytest.mark.parametrize(
     "flags",
     [["--timeout", "0"], ["--backoff-base", "0"], ["--max-retries", "-1"],
-     ["--concurrency", "0"]],
-    ids=["timeout", "backoff-base", "max-retries", "concurrency"],
+     ["--concurrency", "0"], ["--base-url", "localhost:8000"], ["--temperature", "nan"]],
+    ids=["timeout", "backoff-base", "max-retries", "concurrency", "base-url", "temperature"],
 )
 def test_invalid_endpoint_flag_exits_two(tmp_path, caplog, flags):
     pairs_path = tmp_path / "pairs.jsonl"

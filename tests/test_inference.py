@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -203,3 +206,75 @@ def test_rerun_after_success_sends_nothing(tmp_path):
             second = run_batch(items, cfg, 2, state)
         assert second == first
         assert len(stub.requests) == count_after_first
+
+
+def _serve_keepalive(stub: StubEndpoint, close_after_reply: bool = False) -> None:
+    """Serve ``stub`` over HTTP/1.1 keep-alive and count in ``stub.connections``
+    the connections it accepts. With ``close_after_reply`` the server closes
+    each connection once it has replied, without a ``Connection: close``."""
+    stub.connections = 0
+
+    class Handler(stub._server.RequestHandlerClass):
+        protocol_version = "HTTP/1.1"
+
+        def setup(self):
+            super().setup()
+            with stub.lock:
+                stub.connections += 1
+
+        def do_POST(self):
+            super().do_POST()
+            self.close_connection = close_after_reply
+
+    stub._server.RequestHandlerClass = Handler
+
+
+def test_a_connection_dropped_while_idle_is_reopened_without_an_attempt():
+    with StubEndpoint() as stub:
+        _serve_keepalive(stub, close_after_reply=True)
+        cfg = make_cfg(stub, max_retries=0)
+        for prompt in ("a", "b", "c"):
+            assert chat_complete(cfg, prompt) == prompt
+            time.sleep(0.05)  # the server's close lands before the next request
+        assert stub.requests == ["a", "b", "c"]
+        assert stub.connections == 3
+
+
+def test_each_worker_thread_keeps_one_connection(tmp_path):
+    items = [BatchItem(i, f"keep-{i:02d}") for i in range(50)]
+    with StubEndpoint() as stub:
+        _serve_keepalive(stub)
+        cfg = make_cfg(stub)
+        with JobState(tmp_path / "s", batch_fingerprint(items, cfg)) as state:
+            assert run_batch(items, cfg, 4, state) == [item.prompt for item in items]
+        assert 1 <= stub.connections <= 4
+
+
+def _clear_proxy_env(monkeypatch) -> None:
+    for scheme in ("http", "https", "all", "no"):
+        monkeypatch.delenv(f"{scheme}_proxy", raising=False)
+        monkeypatch.delenv(f"{scheme.upper()}_PROXY", raising=False)
+
+
+def test_http_proxy_carries_the_request(monkeypatch):
+    _clear_proxy_env(monkeypatch)
+    with StubEndpoint() as stub:
+        monkeypatch.setenv("HTTP_PROXY", stub.base_url)
+        cfg = make_cfg(stub, base_url="http://upstream.invalid:8000", max_retries=0)
+        assert chat_complete(cfg, "via proxy") == "via proxy"
+        assert stub.requests == ["via proxy"]
+
+
+def test_no_proxy_host_is_reached_directly(monkeypatch):
+    _clear_proxy_env(monkeypatch)
+    monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # nothing listens
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    with StubEndpoint() as stub:
+        assert chat_complete(make_cfg(stub, max_retries=0), "direct") == "direct"
+
+
+def test_cli_import_loads_no_third_party_http_client():
+    code = "import sys, mtpipe.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
