@@ -63,7 +63,7 @@ def _load_config(path: str | None) -> dict:
         try:
             values[key] = _CONFIG_KEYS[key](value.strip())
         except ValueError as exc:
-            raise ToolError(f"{path} line {line_no}: {key}: {exc}") from exc
+            raise UsageError(f"{path} line {line_no}: {key}: {exc}") from exc
     return values
 
 
@@ -144,7 +144,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
             parallel_eps=args.eps,
             name_policy=merge.MissingPolicy(args.on_missing),
         )
-    except ValueError as exc:
+    except (ValueError, merge.TOutOfRange) as exc:
         raise UsageError(str(exc)) from exc
     with tensorio.open_checkpoint(args.a) as a, tensorio.open_checkpoint(args.b) as b:
         merged = merge.merge_stream(a, b, spec)
@@ -291,7 +291,7 @@ def cmd_mix(args: argparse.Namespace) -> int:
             path, count = rest.rsplit("=", 1)
             sources.append(pipeline.MixSource(name, Path(path), int(count)))
         except ValueError as exc:
-            raise ToolError(f"--source must be NAME=PATH=COUNT, got {raw!r}") from exc
+            raise UsageError(f"--source must be NAME=PATH=COUNT, got {raw!r}") from exc
 
     shuffle_seed = args.seed if args.shuffle else None
 

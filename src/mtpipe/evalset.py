@@ -150,15 +150,15 @@ def _item_from(obj: dict) -> QuestionItem:
 def load_question_items(path: str | Path) -> list[QuestionItem]:
     """Read {subject, item_id, text} records from a corpus-format file. The
     text must be a string; subject and item_id may also be numbers."""
-    records = pipeline.read_text_records(path, _ITEM_FIELDS, ("text",))
+    records = pipeline.read_records(path, required=_ITEM_FIELDS, text=("text",))
     return [_item_from(obj) for obj in records]
 
 
 def load_aligned_pairs(path: str | Path) -> list[AlignedPair]:
     """Read the {subject, item_id, text, reference} records write_eval_set
     puts in pairs.jsonl; text and reference must be strings."""
-    records = pipeline.read_text_records(
-        path, _ITEM_FIELDS + ("reference",), ("text", "reference")
+    records = pipeline.read_records(
+        path, required=_ITEM_FIELDS + ("reference",), text=("text", "reference")
     )
     return [AlignedPair(en=_item_from(obj), ar_reference=obj["reference"]) for obj in records]
 

@@ -16,9 +16,10 @@ import math
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from itertools import islice
 from urllib.parse import urlsplit
 from urllib.request import getproxies, proxy_bypass
 
@@ -50,16 +51,21 @@ class EndpointConfig:
     max_tokens: int = 2048
 
     def __post_init__(self) -> None:
-        url = urlsplit(self.base_url)  # url.port raises ValueError outside 0-65535
-        if url.scheme not in ("http", "https") or not url.hostname or url.port == 0:
-            raise ValueError(f"base_url must be an http(s) URL with a host, got {self.base_url!r}")
+        bad_url = f"base_url must be an http(s) URL with a host, got {self.base_url!r}"
+        try:
+            url = urlsplit(self.base_url)
+            port = url.port
+        except ValueError as exc:  # a port out of 0-65535 or not a number
+            raise ValueError(f"{bad_url}: {exc}") from exc
+        if url.scheme not in ("http", "https") or not url.hostname or port == 0:
+            raise ValueError(bad_url)
         if not math.isfinite(self.temperature):
             raise ValueError("temperature must be finite")
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # NaN too
             raise ValueError("timeout must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.backoff_base <= 0:
+        if not self.backoff_base > 0:
             raise ValueError("backoff_base must be positive")
 
 
@@ -69,12 +75,23 @@ class BatchItem:
     prompt: str
 
 
+_WINDOW = 2  # run_batch submits this many requests per worker thread
 _thread_local = threading.local()
+
+
+class _Connections(dict):
+    """One thread's connections, closed when the thread ends and drops them."""
+
+    def __del__(self) -> None:
+        for conn, _target in self.values():
+            conn.close()
 
 
 def _connection(cfg: EndpointConfig) -> tuple[HTTPConnection, str]:
     """This thread's connection to the endpoint and the request target for it."""
-    connections = _thread_local.__dict__.setdefault("connections", {})
+    connections = getattr(_thread_local, "connections", None)
+    if connections is None:
+        connections = _thread_local.connections = _Connections()
     key = (cfg.base_url, cfg.timeout)
     return connections.get(key) or connections.setdefault(key, _open(*key))
 
@@ -167,7 +184,8 @@ def run_batch(
     concurrency: int,
     state: JobState,
 ) -> list[str]:
-    """Complete every item, at most ``concurrency`` requests in flight.
+    """Complete every item, at most ``concurrency`` requests in flight and
+    ``_WINDOW`` times that submitted, so Ctrl-C stops the sending at once.
 
     Items already present in ``state`` are not re-sent. On a hard failure the
     run aborts with ExhaustedRetries (or NonRetryable) after journaling the
@@ -181,31 +199,28 @@ def run_batch(
     if state.fingerprint != batch_fingerprint(items, cfg):
         raise StateMismatch("job state does not match this item list and config")
 
-    results: dict[int, str] = dict(state.completed)
-    pending = [item for item in items if item.index not in results]
-
+    pending = (item for item in items if item.index not in state.completed)
+    window: dict[Future, int] = {}
     failure: Exception | None = None
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        future_items = {
-            pool.submit(chat_complete, cfg, item.prompt): item for item in pending
-        }
-        # as_completed installs one waiter per future, once; waiting on the
-        # not-done set after every completion would cost O(N) each time.
-        for future in as_completed(future_items):
-            if future.cancelled():
-                continue
-            exc = future.exception()
-            if exc is not None:
-                if failure is None:
-                    failure = exc
-                    for other in future_items:
-                        other.cancel()
-                continue
-            item = future_items[future]
-            text = future.result()
-            state.record(item.index, text)
-            results[item.index] = text
+    pool = ThreadPoolExecutor(max_workers=concurrency)
+    try:
+        while True:
+            for item in islice(pending, _WINDOW * concurrency - len(window)):
+                window[pool.submit(chat_complete, cfg, item.prompt)] = item.index
+            if not window:
+                break
+            done, _ = wait(window, return_when=FIRST_COMPLETED)
+            for future in done:
+                index = window.pop(future)
+                exc = future.exception()
+                if exc is None:
+                    state.record(index, future.result())
+                elif failure is None:  # submit nothing more; cancel what has not started
+                    failure, pending = exc, ()
+                    window = {f: i for f, i in window.items() if not f.cancel()}
+    finally:
+        pool.shutdown(cancel_futures=True)
     state.checkpoint()
     if failure is not None:
         raise failure
-    return [results[i] for i in range(len(items))]
+    return [state.completed[i] for i in range(len(items))]

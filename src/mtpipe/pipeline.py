@@ -310,10 +310,14 @@ def write_records(path: str | Path, records: Iterable[dict]) -> int:
 
 
 def read_records(
-    path: str | Path, source: str | None = None, required: Sequence[str] = ()
+    path: str | Path,
+    source: str | None = None,
+    required: Sequence[str] = (),
+    text: Sequence[str] = (),
 ) -> Iterator[dict]:
-    """Stream one JSON object per line; malformed lines and objects lacking a
-    ``required`` field are an error."""
+    """Stream one JSON object per line; malformed lines, objects lacking a
+    ``required`` field and ``text`` fields that are present but not strings
+    are an error."""
     label = source if source is not None else str(path)
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -334,27 +338,18 @@ def read_records(
             for name in required:
                 if name not in record:
                     raise MalformedLine(label, line_no, f"missing field {name!r}")
+            for name in text:
+                value = record.get(name, "")
+                if not isinstance(value, str):
+                    kind = "null" if value is None else type(value).__name__
+                    raise MalformedLine(label, line_no, f"field {name!r} is {kind}, not a string")
             yield record
-
-
-def read_text_records(
-    path: str | Path, required: Sequence[str], text: Sequence[str]
-) -> Iterator[dict]:
-    """read_records, where each ``text`` field an object has must be a string;
-    one that is not is a MalformedLine naming its line."""
-    for line_no, obj in enumerate(read_records(path, required=required), start=1):
-        for name in text:
-            value = obj.get(name, "")
-            if not isinstance(value, str):
-                kind = "null" if value is None else type(value).__name__
-                raise MalformedLine(str(path), line_no, f"field {name!r} is {kind}, not a string")
-        yield obj
 
 
 def load_parallel_pairs(path: str | Path) -> list[tuple[str, str]]:
     """Read {ar, en} pair records, both fields strings, as (ar, en) tuples."""
     fields = ("ar", "en")
-    return [(obj["ar"], obj["en"]) for obj in read_text_records(path, fields, fields)]
+    return [(obj["ar"], obj["en"]) for obj in read_records(path, required=fields, text=fields)]
 
 
 def write_parallel_pairs(path: str | Path, pairs: Iterable[tuple[str, str]]) -> int:
@@ -367,7 +362,7 @@ def load_instruction_records(path: str | Path) -> list[InstructionRecord]:
     has an empty instruction, is a MalformedLine naming its line."""
     records = []
     required = ("instruction", "response")
-    lines = read_text_records(path, required, required + ("system",))
+    lines = read_records(path, required=required, text=required + ("system",))
     for line_no, obj in enumerate(lines, start=1):
         try:
             records.append(

@@ -452,7 +452,7 @@ def test_config_with_only_endpoint_address_keeps_config_defaults(tmp_path, monke
     assert concurrency == 4
 
 
-def test_config_value_of_the_wrong_type_exits_one(tmp_path, caplog):
+def test_config_value_of_the_wrong_type_exits_two(tmp_path, caplog):
     config = tmp_path / "run.cfg"
     config.write_text("base_url=http://127.0.0.1:1\nmodel=m\ntimeout=soon\n", encoding="utf-8")
     pairs_path = tmp_path / "pairs.jsonl"
@@ -461,15 +461,18 @@ def test_config_value_of_the_wrong_type_exits_one(tmp_path, caplog):
         ["--config", str(config), "judge", "--in", str(pairs_path),
          "--accepted", str(tmp_path / "a"), "--state", str(tmp_path / "s")]
     )
-    assert code == 1
+    assert code == 2
     assert f"{config} line 3: timeout" in caplog.text
 
 
 @pytest.mark.parametrize(
     "flags",
     [["--timeout", "0"], ["--backoff-base", "0"], ["--max-retries", "-1"],
-     ["--concurrency", "0"], ["--base-url", "localhost:8000"], ["--temperature", "nan"]],
-    ids=["timeout", "backoff-base", "max-retries", "concurrency", "base-url", "temperature"],
+     ["--concurrency", "0"], ["--base-url", "localhost:8000"], ["--temperature", "nan"],
+     ["--base-url", "http://h:99999"], ["--base-url", "http://h:abc"], ["--timeout", "nan"],
+     ["--backoff-base", "nan"]],
+    ids=["timeout", "backoff-base", "max-retries", "concurrency", "base-url", "temperature",
+         "base-url-port-range", "base-url-port-text", "timeout-nan", "backoff-base-nan"],
 )
 def test_invalid_endpoint_flag_exits_two(tmp_path, caplog, flags):
     pairs_path = tmp_path / "pairs.jsonl"
@@ -493,6 +496,20 @@ def test_merge_invalid_eps_exits_two(tmp_path, rng, caplog):
     assert code == 2
     assert "parallel_eps must be positive" in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(["merge", "--a", "a", "--b", "b", "--t", "1.5"], "t must lie in [0, 1], got 1.5"),
+     (["merge", "--a", "a", "--b", "b", "--t", "nan"], "t must lie in [0, 1], got nan"),
+     (["mix", "--source", "nonsense"], "--source must be NAME=PATH=COUNT, got 'nonsense'")],
+    ids=["merge-t-above-one", "merge-t-nan", "mix-source"],
+)
+def test_rejected_flag_exits_two_and_writes_nothing(tmp_path, monkeypatch, caplog, args, message):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli([*args, "--out", "o"]) == 2
+    assert [r.getMessage() for r in caplog.records] == [message]
+    assert list(tmp_path.iterdir()) == []
 
 
 def _eval_inputs(tmp_path: Path, drop: str | None = None) -> tuple[Path, Path]:

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import gc
 import random
 import subprocess
 import sys
 import time
+import tracemalloc
+import warnings
 
 import pytest
 
+from mtpipe import inference
 from mtpipe.inference import (
     BatchItem,
     EndpointConfig,
@@ -248,6 +252,62 @@ def test_each_worker_thread_keeps_one_connection(tmp_path):
         with JobState(tmp_path / "s", batch_fingerprint(items, cfg)) as state:
             assert run_batch(items, cfg, 4, state) == [item.prompt for item in items]
         assert 1 <= stub.connections <= 4
+
+
+def test_worker_connections_are_closed_when_the_batch_ends(tmp_path):
+    items = [BatchItem(i, f"close-{i:02d}") for i in range(20)]
+    with StubEndpoint() as stub:
+        _serve_keepalive(stub)
+        cfg = make_cfg(stub)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with JobState(tmp_path / "s", batch_fingerprint(items, cfg)) as state:
+                run_batch(items, cfg, 4, state)
+            gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
+def test_interrupt_stops_sending_and_resume_sends_only_the_rest(tmp_path):
+    items = [BatchItem(i, f"int-{i:04d}") for i in range(2000)]
+    state_path = tmp_path / "s"
+    with StubEndpoint() as stub:
+        cfg = make_cfg(stub)
+        fp = batch_fingerprint(items, cfg)
+        with JobState(state_path, fp) as state:
+            record = state.record
+
+            def record_then_interrupt(index, text):
+                if len(state.completed) == 50:
+                    raise KeyboardInterrupt
+                record(index, text)
+
+            state.record = record_then_interrupt
+            with pytest.raises(KeyboardInterrupt):
+                run_batch(items, cfg, 2, state)
+        assert len(stub.requests) <= 50 + 2 * 2
+        sent_first = len(stub.requests)
+
+        with JobState(state_path, fp) as state:
+            journaled = {items[i].prompt for i in state.completed}
+            assert run_batch(items, cfg, 2, state) == [item.prompt for item in items]
+        assert len(journaled) == 50
+        resent = stub.requests[sent_first:]
+        assert sorted(resent) == [item.prompt for item in items if item.prompt not in journaled]
+
+
+def test_run_batch_memory_does_not_grow_with_pending_items(tmp_path, monkeypatch):
+    items = [BatchItem(i, f"m-{i}") for i in range(50_000)]
+    cfg = EndpointConfig(base_url="http://127.0.0.1:9", model_name="m")
+    monkeypatch.setattr(inference, "chat_complete", lambda cfg, prompt: prompt)
+    with JobState(tmp_path / "s", batch_fingerprint(items, cfg)) as state:
+        tracemalloc.start()
+        try:
+            outputs = run_batch(items, cfg, 2, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert outputs == [item.prompt for item in items]
+    assert peak < 16 * 2**20
 
 
 def _clear_proxy_env(monkeypatch) -> None:
