@@ -55,11 +55,11 @@ def _load_config(path: str | None) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ToolError(f"{path} line {line_no}: expected KEY=VALUE")
+            raise UsageError(f"{path} line {line_no}: expected KEY=VALUE")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in _CONFIG_KEYS:
-            raise ToolError(f"{path} line {line_no}: unknown key {key!r}")
+            raise UsageError(f"{path} line {line_no}: unknown key {key!r}")
         try:
             values[key] = _CONFIG_KEYS[key](value.strip())
         except ValueError as exc:

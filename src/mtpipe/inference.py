@@ -3,20 +3,20 @@
 One request per prompt, sent as a single user message on the keep-alive
 connection each thread keeps per endpoint. Transient failures (connection
 errors, 429, 5xx) are retried with exponential backoff plus jitter; other
-statuses, redirects included, fail at once. Batch runs keep at most the
-configured number of requests in flight, return outputs in item order
-regardless of completion order, and journal every completion through a
-JobState before reporting it, so a resumed run skips finished items.
+statuses, redirects included, fail at once. A batch runs on worker threads
+of its own, one per request in flight, which close their connections when
+it ends. It returns outputs in item order and journals every completion
+through a JobState before reporting it, so a resumed run skips finished items.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import queue
 import random
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from itertools import islice
@@ -79,19 +79,11 @@ _WINDOW = 2  # run_batch submits this many requests per worker thread
 _thread_local = threading.local()
 
 
-class _Connections(dict):
-    """One thread's connections, closed when the thread ends and drops them."""
-
-    def __del__(self) -> None:
-        for conn, _target in self.values():
-            conn.close()
-
-
 def _connection(cfg: EndpointConfig) -> tuple[HTTPConnection, str]:
     """This thread's connection to the endpoint and the request target for it."""
     connections = getattr(_thread_local, "connections", None)
     if connections is None:
-        connections = _thread_local.connections = _Connections()
+        connections = _thread_local.connections = {}
     key = (cfg.base_url, cfg.timeout)
     return connections.get(key) or connections.setdefault(key, _open(*key))
 
@@ -200,26 +192,42 @@ def run_batch(
         raise StateMismatch("job state does not match this item list and config")
 
     pending = (item for item in items if item.index not in state.completed)
-    window: dict[Future, int] = {}
-    failure: Exception | None = None
-    pool = ThreadPoolExecutor(max_workers=concurrency)
+    inbox, outbox, stop = queue.SimpleQueue(), queue.SimpleQueue(), threading.Event()
+
+    def work() -> None:  # forwards every outcome; once ``stop`` is set, None and unsent
+        for item in iter(inbox.get, None):
+            try:
+                outcome = None if stop.is_set() else chat_complete(cfg, item.prompt)
+            except BaseException as exc:  # raised again by the main thread
+                outcome = exc
+            outbox.put((item.index, outcome))
+        for conn, _target in getattr(_thread_local, "connections", {}).values():
+            conn.close()
+
+    workers = [threading.Thread(target=work) for _ in range(concurrency)]
+    for worker in workers:
+        worker.start()
+    window, failure = 0, None
     try:
         while True:
-            for item in islice(pending, _WINDOW * concurrency - len(window)):
-                window[pool.submit(chat_complete, cfg, item.prompt)] = item.index
+            for item in islice(pending, _WINDOW * concurrency - window):
+                inbox.put(item)
+                window += 1
             if not window:
                 break
-            done, _ = wait(window, return_when=FIRST_COMPLETED)
-            for future in done:
-                index = window.pop(future)
-                exc = future.exception()
-                if exc is None:
-                    state.record(index, future.result())
-                elif failure is None:  # submit nothing more; cancel what has not started
-                    failure, pending = exc, ()
-                    window = {f: i for f, i in window.items() if not f.cancel()}
+            index, outcome = outbox.get()
+            window -= 1
+            if isinstance(outcome, str):
+                state.record(index, outcome)
+            elif isinstance(outcome, BaseException) and failure is None:
+                failure, pending = outcome, ()  # submit nothing more; skip what has not started
+                stop.set()
     finally:
-        pool.shutdown(cancel_futures=True)
+        stop.set()
+        for worker in workers:
+            inbox.put(None)
+        for worker in workers:
+            worker.join()
     state.checkpoint()
     if failure is not None:
         raise failure

@@ -45,10 +45,10 @@ def tokenize_13a(text: str) -> list[str]:
     norm = norm.replace("&gt;", ">")
 
     norm = f" {norm} "
-    norm = _PUNCT.sub(r" \1 ", norm)
-    norm = _PERIOD_AFTER_NONDIGIT.sub(r"\1 \2 ", norm)
-    norm = _PERIOD_BEFORE_NONDIGIT.sub(r" \1 \2", norm)
-    norm = _DASH_AFTER_DIGIT.sub(r"\1 \2 ", norm)
+    norm = _PUNCT.sub(lambda m: f" {m[1]} ", norm)
+    norm = _PERIOD_AFTER_NONDIGIT.sub(lambda m: f"{m[1]} {m[2]} ", norm)
+    norm = _PERIOD_BEFORE_NONDIGIT.sub(lambda m: f" {m[1]} {m[2]}", norm)
+    norm = _DASH_AFTER_DIGIT.sub(lambda m: f"{m[1]} {m[2]} ", norm)
     return norm.split()
 
 

@@ -70,37 +70,39 @@ def _make_handler(stub: StubEndpoint):
                 if stub.latency is not None:
                     time.sleep(stub.latency())
                 kind, value = stub.behavior(prompt, nth)
-                if kind == "status":
-                    self.send_response(value)
-                    self.send_header("Content-Length", "0")
-                    self.end_headers()
-                    return
-                if kind == "echo":
-                    text = prompt
-                elif kind == "ok":
-                    text = value
-                else:  # "raw": arbitrary response body for malformed-response tests
-                    body = json.dumps(value).encode("utf-8")
-                    self.send_response(200)
-                    self.send_header("Content-Type", "application/json")
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
-                    return
-                body = json.dumps(
-                    {"choices": [{"message": {"role": "assistant", "content": text}}]}
-                ).encode("utf-8")
+            finally:
+                # Out of flight before the reply is sent: a client's next
+                # request must not overlap this one in the count.
+                with stub.lock:
+                    stub.in_flight -= 1
+            if kind == "status":
+                self.send_response(value)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+                return
+            if kind == "echo":
+                text = prompt
+            elif kind == "ok":
+                text = value
+            else:  # "raw": arbitrary response body for malformed-response tests
+                body = json.dumps(value).encode("utf-8")
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)
-                with stub.lock:
-                    stub.successes_per_prompt[prompt] = (
-                        stub.successes_per_prompt.get(prompt, 0) + 1
-                    )
-            finally:
-                with stub.lock:
-                    stub.in_flight -= 1
+                return
+            body = json.dumps(
+                {"choices": [{"message": {"role": "assistant", "content": text}}]}
+            ).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+            with stub.lock:
+                stub.successes_per_prompt[prompt] = (
+                    stub.successes_per_prompt.get(prompt, 0) + 1
+                )
 
     return Handler

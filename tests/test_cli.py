@@ -363,16 +363,19 @@ def test_config_file_supplies_endpoint(tmp_path, capsys):
 
 
 def test_config_file_unknown_key_rejected(tmp_path):
+    # Like an unknown flag, an unknown key or a line without "=" is a usage error.
     config = tmp_path / "run.cfg"
-    config.write_text("nonsense=1\n", encoding="utf-8")
     pairs_path = tmp_path / "pairs.jsonl"
     pipeline.write_records(pairs_path, [{"ar": "أ", "en": "a"}])
-    code = run_cli(
-        ["--config", str(config), "judge", "--in", str(pairs_path),
-         "--accepted", str(tmp_path / "a"), "--state", str(tmp_path / "s"),
-         "--base-url", "http://127.0.0.1:1", "--model", "m"]
-    )
-    assert code == 1
+    for line in ("nonsense=1", "model"):
+        config.write_text(line + "\n", encoding="utf-8")
+        code = run_cli(
+            ["--config", str(config), "judge", "--in", str(pairs_path),
+             "--accepted", str(tmp_path / "a"), "--state", str(tmp_path / "s"),
+             "--base-url", "http://127.0.0.1:1", "--model", "m"]
+        )
+        assert code == 2, line
+        assert not (tmp_path / "a").exists()
 
 
 def _code_records(path: Path) -> None:

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import gc
+import os
 import random
+import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -291,6 +295,139 @@ def test_interrupt_stops_sending_and_resume_sends_only_the_rest(tmp_path):
             journaled = {items[i].prompt for i in state.completed}
             assert run_batch(items, cfg, 2, state) == [item.prompt for item in items]
         assert len(journaled) == 50
+        resent = stub.requests[sent_first:]
+        assert sorted(resent) == [item.prompt for item in items if item.prompt not in journaled]
+
+
+def test_a_failure_stops_the_sending(tmp_path):
+    items = [BatchItem(i, f"job-{i:03d}") for i in range(100)]
+
+    def behavior(prompt, nth):
+        if prompt == "job-040":
+            return ("status", 500)
+        if prompt > "job-040":
+            time.sleep(0.2)  # still running when job-040 fails
+        return ("echo", None)
+
+    with StubEndpoint(behavior) as stub:
+        cfg = make_cfg(stub, max_retries=0)
+        with JobState(tmp_path / "s", batch_fingerprint(items, cfg)) as state:
+            with pytest.raises(ExhaustedRetries):
+                run_batch(items, cfg, 4, state)
+    # Items leave in order, so job-000..job-040 were all sent. After the
+    # failure each of the 4 workers sends at most the one item it holds; the
+    # rest of the window (up to job-047) stays unsent.
+    assert len(stub.requests) <= 41 + 4
+    assert max(stub.requests) < f"job-{40 + 2 * 4:03d}"
+
+
+def _lasting_threads() -> set:
+    """Threads that keep the process alive (the stub's handlers are daemons)."""
+    return {thread for thread in threading.enumerate() if not thread.daemon}
+
+
+def test_no_worker_thread_outlives_the_batch(tmp_path):
+    items = [BatchItem(i, f"live-{i:02d}") for i in range(40)]
+
+    def interrupt(index, text):
+        raise KeyboardInterrupt
+
+    with StubEndpoint() as stub:
+        cfg = make_cfg(stub, max_retries=0)
+        fp = batch_fingerprint(items, cfg)
+        before = _lasting_threads()
+        with JobState(tmp_path / "done", fp) as state:
+            run_batch(items, cfg, 4, state)
+        assert _lasting_threads() == before
+
+        stub.behavior = lambda prompt, nth: (
+            ("status", 500) if prompt == "live-20" else ("echo", None)
+        )
+        with JobState(tmp_path / "failed", fp) as state:
+            with pytest.raises(ExhaustedRetries):
+                run_batch(items, cfg, 4, state)
+        assert _lasting_threads() == before
+
+        stub.behavior = lambda prompt, nth: ("echo", None)
+        with JobState(tmp_path / "interrupted", fp) as state:
+            state.record = interrupt
+            with pytest.raises(KeyboardInterrupt):
+                run_batch(items, cfg, 4, state)
+        assert _lasting_threads() == before
+
+
+def test_a_base_exception_in_a_worker_is_raised_not_waited_for(tmp_path, monkeypatch):
+    class Abort(BaseException):
+        pass
+
+    def complete(cfg, prompt):
+        if prompt == "base-3":
+            raise Abort
+        return prompt
+
+    monkeypatch.setattr(inference, "chat_complete", complete)
+    items = [BatchItem(i, f"base-{i}") for i in range(10)]
+    cfg = EndpointConfig(base_url="http://127.0.0.1:9", model_name="m")
+    raised = []
+
+    def batch():
+        with JobState(tmp_path / "s", batch_fingerprint(items, cfg)) as state:
+            try:
+                run_batch(items, cfg, 2, state)
+            except Abort as exc:
+                raised.append(exc)
+
+    runner = threading.Thread(target=batch, daemon=True)  # a hang must not hold the test run
+    runner.start()
+    runner.join(timeout=10)
+    assert not runner.is_alive()
+    assert len(raised) == 1
+
+
+_BATCH_CHILD = """
+import sys
+from mtpipe.inference import BatchItem, EndpointConfig, batch_fingerprint, run_batch
+from mtpipe.state import JobState
+
+items = [BatchItem(i, f"sig-{i:04d}") for i in range(2000)]
+cfg = EndpointConfig(base_url=sys.argv[1], model_name="stub-model", timeout=10.0)
+with JobState(sys.argv[2], batch_fingerprint(items, cfg)) as state:
+    run_batch(items, cfg, 2, state)
+"""
+
+
+def test_sigint_stops_a_waiting_batch_and_resume_sends_only_the_rest(tmp_path):
+    items = [BatchItem(i, f"sig-{i:04d}") for i in range(2000)]
+    state_path = tmp_path / "s"
+    journal = tmp_path / "s.journal"
+    env = {**os.environ, "PYTHONPATH": str(Path(inference.__file__).parents[1])}
+    with StubEndpoint(latency=lambda: 0.005) as stub:
+        child = subprocess.Popen(
+            [sys.executable, "-c", _BATCH_CHILD, stub.base_url, str(state_path)],
+            env=env, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while child.poll() is None and time.monotonic() < deadline and (
+                not journal.exists() or journal.read_bytes().count(b"\n") < 20
+            ):
+                time.sleep(0.01)
+            child.send_signal(signal.SIGINT)
+            interrupted = time.monotonic()
+            _, stderr = child.communicate(timeout=10)
+            assert time.monotonic() - interrupted < 5
+        finally:
+            child.kill()
+        assert "KeyboardInterrupt" in stderr
+        sent_first = len(stub.requests)
+
+        stub.latency = None
+        cfg = make_cfg(stub)
+        with JobState(state_path, batch_fingerprint(items, cfg)) as state:
+            journaled = {items[i].prompt for i in state.completed}
+            assert 20 <= len(journaled) < len(items)
+            assert sent_first <= len(journaled) + 2 * 2
+            assert run_batch(items, cfg, 2, state) == [item.prompt for item in items]
         resent = stub.requests[sent_first:]
         assert sorted(resent) == [item.prompt for item in items if item.prompt not in journaled]
 
