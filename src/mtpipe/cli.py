@@ -19,9 +19,8 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from . import evalset, merge, metrics, pipeline, quant, tensorio
+from . import evalset, inference, merge, metrics, pipeline, quant, tensorio
 from .errors import ToolError
-from .inference import BatchItem, EndpointConfig, batch_fingerprint, run_batch
 from .state import JobState, run_fingerprint
 
 log = logging.getLogger("mtpipe")
@@ -67,7 +66,7 @@ def _load_config(path: str | None) -> dict:
     return values
 
 
-def _endpoint_from(args: argparse.Namespace) -> tuple[EndpointConfig, int]:
+def _endpoint_from(args: argparse.Namespace) -> tuple[inference.EndpointConfig, int]:
     """The endpoint and concurrency a command runs with. A flag wins over
     ``--config``; a setting neither gives keeps EndpointConfig's default."""
     values = _load_config(args.config)
@@ -80,7 +79,7 @@ def _endpoint_from(args: argparse.Namespace) -> tuple[EndpointConfig, int]:
     if not values.get("base_url") or not values.get("model"):
         raise ToolError("an endpoint needs --base-url and --model (or config entries)")
     try:
-        cfg = EndpointConfig(
+        cfg = inference.EndpointConfig(
             model_name=values.pop("model"),
             api_key=os.environ.get("MTPIPE_API_KEY") or os.environ.get("OPENAI_API_KEY"),
             **values,
@@ -225,11 +224,11 @@ def cmd_translate_corpus(args: argparse.Namespace) -> int:
     for record in records:
         prompts.append(pipeline.render_translation_prompt(record.instruction, args.template))
         prompts.append(pipeline.render_translation_prompt(record.response, args.template))
-    items = [BatchItem(i, prompt) for i, prompt in enumerate(prompts)]
+    items = [inference.BatchItem(i, prompt) for i, prompt in enumerate(prompts)]
 
     cfg, concurrency = _endpoint_from(args)
-    with JobState(args.state, batch_fingerprint(items, cfg)) as state:
-        outputs = run_batch(items, cfg, concurrency, state)
+    with JobState(args.state, inference.batch_fingerprint(items, cfg)) as state:
+        outputs = inference.run_batch(items, cfg, concurrency, state)
 
     pipeline.write_bilingual_tuples(args.out, records, outputs[0::2], outputs[1::2])
     log.info("translated %d records -> %s", len(records), args.out)

@@ -3,7 +3,8 @@
 One request per prompt, sent as a single user message on the keep-alive
 connection each thread keeps per endpoint. Transient failures (connection
 errors, 429, 5xx) are retried with exponential backoff plus jitter; other
-statuses, redirects included, fail at once. A batch runs on worker threads
+statuses, redirects included, fail at once; a batch that stops (a failure
+or Ctrl-C) cuts its running backoffs short. A batch runs on worker threads
 of its own, one per request in flight, which close their connections when
 it ends. It returns outputs in item order and journals every completion
 through a JobState before reporting it, so a resumed run skips finished items.
@@ -16,7 +17,6 @@ import math
 import queue
 import random
 import threading
-import time
 from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from itertools import islice
@@ -77,6 +77,7 @@ class BatchItem:
 
 _WINDOW = 2  # run_batch submits this many requests per worker thread
 _thread_local = threading.local()
+_NEVER = threading.Event()  # the backoff of a call made outside run_batch's workers
 
 
 def _connection(cfg: EndpointConfig) -> tuple[HTTPConnection, str]:
@@ -151,7 +152,11 @@ def chat_complete(cfg: EndpointConfig, prompt: str) -> str:
             last_cause = ToolError(f"HTTP {status}: {text}")
         if attempt < cfg.max_retries:
             delay = cfg.backoff_base * (2**attempt)
-            time.sleep(delay + random.uniform(0.0, delay / 2.0))
+            stop = getattr(_thread_local, "stop", _NEVER)
+            if stop.wait(delay + random.uniform(0.0, delay / 2.0)):
+                raise ExhaustedRetries(
+                    f"batch stopped after {attempt + 1} attempts: {last_cause}"
+                ) from last_cause
     raise ExhaustedRetries(
         f"gave up after {cfg.max_retries + 1} attempts: {last_cause}"
     ) from last_cause
@@ -195,6 +200,7 @@ def run_batch(
     inbox, outbox, stop = queue.SimpleQueue(), queue.SimpleQueue(), threading.Event()
 
     def work() -> None:  # forwards every outcome; once ``stop`` is set, None and unsent
+        _thread_local.stop = stop  # also cuts short chat_complete's backoff
         for item in iter(inbox.get, None):
             try:
                 outcome = None if stop.is_set() else chat_complete(cfg, item.prompt)

@@ -17,8 +17,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
+from . import inference
 from .errors import LengthMismatch, ToolError
-from .inference import BatchItem, EndpointConfig, batch_fingerprint, run_batch
 from .state import JobState
 
 # Prompt sent to the full-size translation model.
@@ -152,7 +152,7 @@ class FilterStats:
 
 def filter_parallel_corpus(
     pairs: Iterable[tuple[str, str]],
-    judge: EndpointConfig | Callable[[str], str],
+    judge: inference.EndpointConfig | Callable[[str], str],
     *,
     state: JobState | str | Path | None = None,
     concurrency: int = 1,
@@ -174,14 +174,14 @@ def filter_parallel_corpus(
             raise ValueError("endpoint judging requires a job state")
         pair_list = list(pairs)
         items = [
-            BatchItem(i, render_judge_prompt(ar, en))
+            inference.BatchItem(i, render_judge_prompt(ar, en))
             for i, (ar, en) in enumerate(pair_list)
         ]
         if isinstance(state, JobState):
-            replies = run_batch(items, judge, concurrency, state)
+            replies = inference.run_batch(items, judge, concurrency, state)
         else:
-            with JobState(state, batch_fingerprint(items, judge)) as job:
-                replies = run_batch(items, judge, concurrency, job)
+            with JobState(state, inference.batch_fingerprint(items, judge)) as job:
+                replies = inference.run_batch(items, judge, concurrency, job)
         judged = zip(pair_list, replies)
 
     accepted: list[tuple[str, str]] = []

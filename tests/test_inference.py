@@ -475,3 +475,57 @@ def test_cli_import_loads_no_third_party_http_client():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_STORM_CHILD = """
+import sys
+from mtpipe.inference import BatchItem, EndpointConfig, batch_fingerprint, run_batch
+from mtpipe.state import JobState
+
+items = [BatchItem(i, f"storm-{i:02d}") for i in range(20)]
+cfg = EndpointConfig(base_url=sys.argv[1], model_name="stub-model", timeout=10.0,
+                     backoff_base=1.0, max_retries=3)
+with JobState(sys.argv[2], batch_fingerprint(items, cfg)) as state:
+    run_batch(items, cfg, 2, state)
+"""
+
+
+def test_sigint_cuts_short_the_backoff_of_a_503_storm_and_resume_sends_only_the_rest(tmp_path):
+    items = [BatchItem(i, f"storm-{i:02d}") for i in range(20)]
+    state_path = tmp_path / "s"
+    journal = tmp_path / "s.journal"
+    env = {**os.environ, "PYTHONPATH": str(Path(inference.__file__).parents[1])}
+
+    def storm(prompt, nth):  # the first two items get through, then every reply is 503
+        return ("echo", None) if prompt in ("storm-00", "storm-01") else ("status", 503)
+
+    with StubEndpoint(storm) as stub:
+        child = subprocess.Popen(
+            [sys.executable, "-c", _STORM_CHILD, stub.base_url, str(state_path)],
+            env=env, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while child.poll() is None and time.monotonic() < deadline and (
+                len(stub.requests) < 4
+                or not journal.exists() or journal.read_bytes().count(b"\n") < 2
+            ):
+                time.sleep(0.01)
+            time.sleep(0.05)  # both workers are sleeping out a 1 s backoff
+            child.send_signal(signal.SIGINT)
+            interrupted = time.monotonic()
+            _, stderr = child.communicate(timeout=20)
+            assert time.monotonic() - interrupted < 1.5
+        finally:
+            child.kill()
+        assert "KeyboardInterrupt" in stderr
+        sent_first = len(stub.requests)
+
+        stub.behavior = lambda prompt, nth: ("echo", None)
+        cfg = make_cfg(stub, backoff_base=1.0)
+        with JobState(state_path, batch_fingerprint(items, cfg)) as state:
+            journaled = {items[i].prompt for i in state.completed}
+            assert journaled == {"storm-00", "storm-01"}
+            assert run_batch(items, cfg, 2, state) == [item.prompt for item in items]
+        resent = stub.requests[sent_first:]
+        assert sorted(resent) == [item.prompt for item in items if item.prompt not in journaled]

@@ -1,0 +1,110 @@
+"""What a CLI process loads at start-up, and the traced benchmark run that
+reads ``sys.modules["mtpipe.<m>"]`` for every submodule."""
+
+from __future__ import annotations
+
+import inspect
+import json
+import os
+import subprocess
+import sys
+import typing
+from pathlib import Path
+
+import pytest
+
+import mtpipe
+from mtpipe import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+HEAVY = ("numpy", "http.client", "ssl", "urllib.request")
+TRACED_MODULES = ("cli", "tensorio", "fp8", "quant", "merge", "inference", "state",
+                  "pipeline", "metrics", "evalset")
+
+
+def _child(code: str, *args: str) -> list:
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_PARSER_CHILD = f"""
+import json, sys
+from mtpipe.cli import build_parser
+build_parser()
+print(json.dumps([
+    [m for m in {HEAVY!r} if m in sys.modules],
+    [m for m in {TRACED_MODULES!r} if "mtpipe." + m not in sys.modules],
+]))
+"""
+
+
+def test_building_the_parser_loads_no_numpy_or_http_and_registers_every_module():
+    loaded_heavy, unregistered = _child(_PARSER_CHILD)
+    assert loaded_heavy == []
+    assert unregistered == []
+
+
+_COMMANDS_CHILD = f"""
+import json, sys
+from pathlib import Path
+from mtpipe.cli import main
+
+work = Path(sys.argv[1])
+def write(name, rows):
+    (work / name).write_text("".join(json.dumps(r) + "\\n" for r in rows), encoding="utf-8")
+
+write("records.jsonl", [{{"instruction": f"say {{i}}", "response": f"ok {{i}}"}} for i in range(6)])
+write("en.jsonl", [{{"subject": "s", "item_id": str(i), "text": f"q {{i}}"}} for i in range(8)])
+write("ar.jsonl", [{{"subject": "s", "item_id": str(i), "text": f"س {{i}}"}} for i in range(8)])
+(work / "outputs.txt").write_text("".join(f"o {{i}}\\n" for i in range(4)), encoding="utf-8")
+runs = [
+    ["filter-code", "--in", str(work / "records.jsonl"), "--out", str(work / "kept.jsonl")],
+    ["mix", "--source", f"a={{work / 'kept.jsonl'}}=6", "--out", str(work / "mix.jsonl")],
+    ["sample-eval", "--en", str(work / "en.jsonl"), "--ar", str(work / "ar.jsonl"),
+     "--n", "4", "--seed", "1", "--out", str(work / "eval")],
+    ["report", "--pairs", str(work / "eval" / "pairs.jsonl"),
+     "--outputs", str(work / "outputs.txt"), "--name", "x"],
+]
+codes = [main(argv) for argv in runs]
+print(json.dumps([codes, [m for m in {HEAVY!r} if m in sys.modules]]))
+"""
+
+
+def test_corpus_and_eval_commands_load_no_numpy_or_http(tmp_path):
+    codes, loaded_heavy = _child(_COMMANDS_CHILD, str(tmp_path))
+    assert codes == [0, 0, 0, 0]
+    assert loaded_heavy == []
+
+
+@pytest.mark.parametrize("workload", ["ckpt", "corpus", "eval"])
+def test_a_traced_benchmark_run_of_one_workload_succeeds(workload):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
+         "--trace", "1", "--size", "tiny", "--seconds", "0"],
+        capture_output=True, text=True, timeout=300, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+
+
+def _annotated_callables():
+    for name in mtpipe.__all__:
+        obj = getattr(mtpipe, name)
+        yield name, obj.__init__ if inspect.isclass(obj) else obj
+    for name, fn in vars(cli).items():
+        if inspect.isfunction(fn) and fn.__module__ == cli.__name__:
+            yield f"cli.{name}", fn
+
+
+def test_type_hints_resolve():
+    unresolved = {}
+    for name, fn in _annotated_callables():
+        try:
+            typing.get_type_hints(fn)
+        except NameError as exc:
+            unresolved[name] = str(exc)
+    assert unresolved == {}
