@@ -98,16 +98,17 @@ def _file_digest(path: str | Path) -> str:
 
 
 def _run_once(
-    state_path: str | None, parts: list[str], out: str, work: Callable[[], None]
+    state_path: str | None, out: str, work: Callable[[], None], parts: Callable[[], list[str]]
 ) -> None:
     """Run a local step, or skip it when ``--state`` records this same run
-    (fingerprint of ``parts``) as done and ``out`` still exists."""
+    (fingerprint of ``parts()``, built only then) as done and ``out`` still exists."""
     if not state_path:
         work()
         return
-    with JobState(state_path, run_fingerprint(parts)) as state:
+    fingerprint_parts = parts()
+    with JobState(state_path, run_fingerprint(fingerprint_parts)) as state:
         if 0 in state.completed and Path(out).exists():
-            log.info("%s already complete; nothing to do", parts[0])
+            log.info("%s already complete; nothing to do", fingerprint_parts[0])
             return
         work()
         state.record(0, str(out))
@@ -261,9 +262,9 @@ def cmd_pair(args: argparse.Namespace) -> int:
         )
         log.info("paired %d records -> %s", n, args.out)
 
-    parts = ["pair", _file_digest(args.records), _file_digest(args.instr_ar),
-             _file_digest(args.resp_ar), str(args.out)]
-    _run_once(args.state, parts, args.out, work)
+    _run_once(args.state, args.out, work, lambda: [
+        "pair", _file_digest(args.records), _file_digest(args.instr_ar),
+        _file_digest(args.resp_ar), str(args.out)])
     return 0
 
 
@@ -276,9 +277,9 @@ def cmd_filter_code(args: argparse.Namespace) -> int:
         pipeline.write_instruction_records(args.out, kept)
         print(f"kept={len(kept)} dropped={dropped}")
 
-    parts = ["filter-code", _file_digest(args.in_path), str(args.min_code_lines),
-             repr(args.symbol_ratio), str(args.out)]
-    _run_once(args.state, parts, args.out, work)
+    _run_once(args.state, args.out, work, lambda: [
+        "filter-code", _file_digest(args.in_path), str(args.min_code_lines),
+        repr(args.symbol_ratio), str(args.out)])
     return 0
 
 
@@ -300,9 +301,8 @@ def cmd_mix(args: argparse.Namespace) -> int:
             Path(args.manifest).write_text(manifest.to_json() + "\n", encoding="utf-8")
         print(f"total={manifest.total}")
 
-    parts = ["mix", str(args.out), str(shuffle_seed)]
-    parts += [f"{s.name}={_file_digest(s.path)}={s.expected}" for s in sources]
-    _run_once(args.state, parts, args.out, work)
+    _run_once(args.state, args.out, work, lambda: ["mix", str(args.out), str(shuffle_seed)] + [
+        f"{s.name}={_file_digest(s.path)}={s.expected}" for s in sources])
     return 0
 
 

@@ -1,12 +1,12 @@
 """Client for OpenAI-compatible chat-completion endpoints.
 
-One request per prompt, sent as a single user message on the keep-alive
-connection each thread keeps per endpoint. Transient failures (connection
-errors, 429, 5xx) are retried with exponential backoff plus jitter; other
-statuses, redirects included, fail at once; a batch that stops (a failure
-or Ctrl-C) cuts its running backoffs short. A batch runs on worker threads
-of its own, one per request in flight, which close their connections when
-it ends. It returns outputs in item order and journals every completion
+One request per prompt, sent as a single user message. Transient failures
+(connection errors, 429, 5xx) are retried with exponential backoff plus
+jitter; other statuses, redirects included, fail at once; a batch that stops
+(a failure or Ctrl-C) cuts its running backoffs short. A batch runs on worker
+threads of its own, one per request in flight, each keeping one keep-alive
+connection until the batch ends; a call outside a batch opens and closes its
+own. A batch returns outputs in item order and journals every completion
 through a JobState before reporting it, so a resumed run skips finished items.
 """
 
@@ -76,17 +76,8 @@ class BatchItem:
 
 
 _WINDOW = 2  # run_batch submits this many requests per worker thread
-_thread_local = threading.local()
+_worker = threading.local()  # in a run_batch worker: its connection and its batch's stop event
 _NEVER = threading.Event()  # the backoff of a call made outside run_batch's workers
-
-
-def _connection(cfg: EndpointConfig) -> tuple[HTTPConnection, str]:
-    """This thread's connection to the endpoint and the request target for it."""
-    connections = getattr(_thread_local, "connections", None)
-    if connections is None:
-        connections = _thread_local.connections = {}
-    key = (cfg.base_url, cfg.timeout)
-    return connections.get(key) or connections.setdefault(key, _open(*key))
 
 
 def _open(base_url: str, timeout: float) -> tuple[HTTPConnection, str]:
@@ -120,7 +111,8 @@ def _post(conn: HTTPConnection, target: str, body: bytes, headers: dict) -> tupl
 
 
 def chat_complete(cfg: EndpointConfig, prompt: str) -> str:
-    """Send one chat completion and return the first choice's content."""
+    """Send one chat completion and return the first choice's content, on the
+    run_batch worker's connection or else on one opened for this call only."""
     body = json.dumps({
         "model": cfg.model_name,
         "messages": [{"role": "user", "content": prompt}],
@@ -131,35 +123,41 @@ def chat_complete(cfg: EndpointConfig, prompt: str) -> str:
     if cfg.api_key:
         headers["Authorization"] = f"Bearer {cfg.api_key}"
 
+    in_worker = hasattr(_worker, "conn")
+    conn, target = _worker.conn if in_worker else _open(cfg.base_url, cfg.timeout)
+    stop = _worker.stop if in_worker else _NEVER
     last_cause: Exception | None = None
-    for attempt in range(cfg.max_retries + 1):
-        try:
-            status, data = _post(*_connection(cfg), body, headers)
-        except (OSError, HTTPException) as exc:
-            last_cause = exc
-        else:
-            if 200 <= status < 300:
-                try:
-                    content = json.loads(data)["choices"][0]["message"]["content"]
-                except (ValueError, KeyError, IndexError, TypeError) as exc:
-                    raise MalformedResponse(f"no message content in response: {exc}") from exc
-                if not isinstance(content, str):
-                    raise MalformedResponse(f"content has type {type(content).__name__}")
-                return content
-            text = data.decode("utf-8", "replace")[:200]
-            if status != 429 and status < 500:
-                raise NonRetryable(f"HTTP {status}: {text}")
-            last_cause = ToolError(f"HTTP {status}: {text}")
-        if attempt < cfg.max_retries:
-            delay = cfg.backoff_base * (2**attempt)
-            stop = getattr(_thread_local, "stop", _NEVER)
-            if stop.wait(delay + random.uniform(0.0, delay / 2.0)):
-                raise ExhaustedRetries(
-                    f"batch stopped after {attempt + 1} attempts: {last_cause}"
-                ) from last_cause
-    raise ExhaustedRetries(
-        f"gave up after {cfg.max_retries + 1} attempts: {last_cause}"
-    ) from last_cause
+    try:
+        for attempt in range(cfg.max_retries + 1):
+            try:
+                status, data = _post(conn, target, body, headers)
+            except (OSError, HTTPException) as exc:
+                last_cause = exc
+            else:
+                if 200 <= status < 300:
+                    try:
+                        content = json.loads(data)["choices"][0]["message"]["content"]
+                    except (ValueError, KeyError, IndexError, TypeError) as exc:
+                        raise MalformedResponse(f"no message content in response: {exc}") from exc
+                    if not isinstance(content, str):
+                        raise MalformedResponse(f"content has type {type(content).__name__}")
+                    return content
+                text = data.decode("utf-8", "replace")[:200]
+                if status != 429 and status < 500:
+                    raise NonRetryable(f"HTTP {status}: {text}")
+                last_cause = ToolError(f"HTTP {status}: {text}")
+            if attempt < cfg.max_retries:
+                delay = cfg.backoff_base * (2**attempt)
+                if stop.wait(delay + random.uniform(0.0, delay / 2.0)):
+                    raise ExhaustedRetries(
+                        f"batch stopped after {attempt + 1} attempts: {last_cause}"
+                    ) from last_cause
+        raise ExhaustedRetries(
+            f"gave up after {cfg.max_retries + 1} attempts: {last_cause}"
+        ) from last_cause
+    finally:
+        if not in_worker:
+            conn.close()
 
 
 def batch_fingerprint(items: list[BatchItem], cfg: EndpointConfig) -> str:
@@ -199,18 +197,19 @@ def run_batch(
     pending = (item for item in items if item.index not in state.completed)
     inbox, outbox, stop = queue.SimpleQueue(), queue.SimpleQueue(), threading.Event()
 
-    def work() -> None:  # forwards every outcome; once ``stop`` is set, None and unsent
-        _thread_local.stop = stop  # also cuts short chat_complete's backoff
+    def work(conn: HTTPConnection, target: str) -> None:  # forwards every outcome
+        _worker.conn, _worker.stop = (conn, target), stop  # stop also cuts short a backoff
         for item in iter(inbox.get, None):
             try:
                 outcome = None if stop.is_set() else chat_complete(cfg, item.prompt)
             except BaseException as exc:  # raised again by the main thread
                 outcome = exc
             outbox.put((item.index, outcome))
-        for conn, _target in getattr(_thread_local, "connections", {}).values():
-            conn.close()
+        conn.close()
 
-    workers = [threading.Thread(target=work) for _ in range(concurrency)]
+    # Opened here, so that a failure to set one up raises before any worker starts.
+    connections = [_open(cfg.base_url, cfg.timeout) for _ in range(concurrency)]
+    workers = [threading.Thread(target=work, args=connection) for connection in connections]
     for worker in workers:
         worker.start()
     window, failure = 0, None

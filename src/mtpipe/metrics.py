@@ -78,13 +78,11 @@ def _ngram_counts(tokens: Sequence[str], max_order: int) -> Counter:
     return counts
 
 
-def _ngram_totals(lengths: list[int], max_order: int) -> list[int]:
-    """Number of n-grams of each order 1..max_order in sequences of the given
-    lengths."""
-    return [
-        sum(length - n + 1 for length in lengths if length >= n)
-        for n in range(1, max_order + 1)
-    ]
+def _add_totals(totals: list[int], length: int, max_order: int, offset: int = 0) -> None:
+    """Add the number of n-grams of each order 1..max_order in a sequence of
+    ``length`` items to ``totals[offset + order - 1]``."""
+    for n in range(1, min(length, max_order) + 1):
+        totals[offset + n - 1] += length - n + 1
 
 
 def _add_clipped(hyp: Counter, ref: Counter, matched: list[int], offset: int = 0) -> None:
@@ -115,20 +113,19 @@ def bleu_corpus(
         raise EmptyCorpus("BLEU needs at least one segment pair")
 
     correct = [0] * opts.max_order
-    hyp_lengths = []
-    ref_len = 0
+    total = [0] * opts.max_order
+    hyp_len = ref_len = 0
     for hyp, ref in zip(hyps, refs):
         hyp_tokens = tokenize_13a(hyp)
         ref_tokens = tokenize_13a(ref)
-        hyp_lengths.append(len(hyp_tokens))
+        hyp_len += len(hyp_tokens)
         ref_len += len(ref_tokens)
+        _add_totals(total, len(hyp_tokens), opts.max_order)
         _add_clipped(
             _ngram_counts(hyp_tokens, opts.max_order),
             _ngram_counts(ref_tokens, opts.max_order),
             correct,
         )
-    hyp_len = sum(hyp_lengths)
-    total = _ngram_totals(hyp_lengths, opts.max_order)
 
     log_sum = 0.0
     smooth = 1.0
@@ -182,19 +179,17 @@ def chrf_pp(hyps: Sequence[str], refs: Sequence[str]) -> float:
 
     n_orders = CHRF_CHAR_ORDER + CHRF_WORD_ORDER
     matched = [0] * n_orders
-    hyp_char_lens: list[int] = []
-    ref_char_lens: list[int] = []
-    hyp_word_lens: list[int] = []
-    ref_word_lens: list[int] = []
+    hyp_total = [0] * n_orders
+    ref_total = [0] * n_orders
     for hyp, ref in zip(hyps, refs):
         hyp_chars = _WHITESPACE.sub("", hyp)
         ref_chars = _WHITESPACE.sub("", ref)
         hyp_words = hyp.split()
         ref_words = ref.split()
-        hyp_char_lens.append(len(hyp_chars))
-        ref_char_lens.append(len(ref_chars))
-        hyp_word_lens.append(len(hyp_words))
-        ref_word_lens.append(len(ref_words))
+        _add_totals(hyp_total, len(hyp_chars), CHRF_CHAR_ORDER)
+        _add_totals(ref_total, len(ref_chars), CHRF_CHAR_ORDER)
+        _add_totals(hyp_total, len(hyp_words), CHRF_WORD_ORDER, CHRF_CHAR_ORDER)
+        _add_totals(ref_total, len(ref_words), CHRF_WORD_ORDER, CHRF_CHAR_ORDER)
         _add_clipped(_char_ngram_counts(hyp_chars), _char_ngram_counts(ref_chars), matched)
         _add_clipped(
             _ngram_counts(hyp_words, CHRF_WORD_ORDER),
@@ -202,10 +197,6 @@ def chrf_pp(hyps: Sequence[str], refs: Sequence[str]) -> float:
             matched,
             CHRF_CHAR_ORDER,
         )
-    hyp_total = _ngram_totals(hyp_char_lens, CHRF_CHAR_ORDER)
-    hyp_total += _ngram_totals(hyp_word_lens, CHRF_WORD_ORDER)
-    ref_total = _ngram_totals(ref_char_lens, CHRF_CHAR_ORDER)
-    ref_total += _ngram_totals(ref_word_lens, CHRF_WORD_ORDER)
 
     beta_sq = CHRF_BETA * CHRF_BETA
     f_scores = []

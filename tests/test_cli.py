@@ -442,6 +442,18 @@ def test_local_step_upgrades_an_old_done_marker(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("with_state, digests", [(False, 0), (True, 1)])
+def test_local_step_hashes_its_input_only_under_state(tmp_path, monkeypatch, with_state, digests):
+    hashed = []
+    file_digest = cli._file_digest
+    monkeypatch.setattr(cli, "_file_digest", lambda path: hashed.append(path) or file_digest(path))
+    args = _local_step_args(tmp_path, "filter-code")
+    if with_state:
+        args += ["--state", str(tmp_path / "step.state")]
+    assert run_cli(args) == 0
+    assert len(hashed) == digests
+
+
 def test_config_with_only_endpoint_address_keeps_config_defaults(tmp_path, monkeypatch):
     monkeypatch.delenv("MTPIPE_API_KEY", raising=False)
     monkeypatch.delenv("OPENAI_API_KEY", raising=False)

@@ -248,6 +248,32 @@ def test_a_connection_dropped_while_idle_is_reopened_without_an_attempt():
         assert stub.connections == 3
 
 
+def test_a_worker_resends_on_a_connection_the_server_dropped_while_idle(tmp_path):
+    items = [BatchItem(i, f"drop-{i}") for i in range(4)]
+    with StubEndpoint() as stub:
+        _serve_keepalive(stub, close_after_reply=True)
+        cfg = make_cfg(stub, max_retries=0)
+        with JobState(tmp_path / "s", batch_fingerprint(items, cfg)) as state:
+            assert run_batch(items, cfg, 1, state) == [item.prompt for item in items]
+        assert stub.requests == [item.prompt for item in items]
+        assert stub.connections == len(items)
+
+
+def test_a_direct_call_closes_its_connection():
+    replies = []
+    with StubEndpoint() as stub:
+        _serve_keepalive(stub)
+        cfg = make_cfg(stub)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            caller = threading.Thread(target=lambda: replies.append(chat_complete(cfg, "direct")))
+            caller.start()
+            caller.join()
+            gc.collect()
+    assert replies == ["direct"]
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
 def test_each_worker_thread_keeps_one_connection(tmp_path):
     items = [BatchItem(i, f"keep-{i:02d}") for i in range(50)]
     with StubEndpoint() as stub:
@@ -468,6 +494,16 @@ def test_no_proxy_host_is_reached_directly(monkeypatch):
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     with StubEndpoint() as stub:
         assert chat_complete(make_cfg(stub, max_retries=0), "direct") == "direct"
+
+
+def test_a_malformed_proxy_fails_the_batch_before_any_worker_starts(tmp_path, monkeypatch):
+    _clear_proxy_env(monkeypatch)
+    monkeypatch.setenv("HTTP_PROXY", "http://proxy:port")
+    items = [BatchItem(i, f"proxy-{i}") for i in range(4)]
+    cfg = EndpointConfig(base_url="http://upstream.invalid:8000", model_name="m")
+    with JobState(tmp_path / "s", batch_fingerprint(items, cfg)) as state:
+        with pytest.raises(ValueError, match="Port"):
+            run_batch(items, cfg, 2, state)
 
 
 def test_cli_import_loads_no_third_party_http_client():
