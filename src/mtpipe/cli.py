@@ -133,7 +133,8 @@ def cmd_quantize(args: argparse.Namespace) -> int:
                 f"{audit.name} amax={audit.amax:.6g} scale={audit.scale:.6g} "
                 f"max_rel_err={audit.max_rel_err:.3e}"
             )
-    log.info("quantized %d tensors -> %s", len(src.tensors), args.out)
+    done = sum(not audit.skipped for audit in audits.values())
+    log.info("quantized %d of %d tensors -> %s", done, len(audits), args.out)
     return 0
 
 
@@ -189,15 +190,10 @@ def cmd_score(args: argparse.Namespace) -> int:
         )
         payload = dataclasses.asdict(report)
     else:
-        if args.metric == "bleu":
-            score = metrics.bleu_corpus(hyps, refs)
-            label = "BLEU"
-        elif args.metric == "chrf":
-            score = metrics.chrf_pp(hyps, refs)
-            label = "chrF++"
-        else:
-            score = metrics.rouge_l_corpus(hyps, refs)
-            label = "ROUGE-L"
+        label, corpus_score = {"bleu": ("BLEU", metrics.bleu_corpus),
+                               "chrf": ("chrF++", metrics.chrf_pp),
+                               "rouge": ("ROUGE-L", metrics.rouge_l_corpus)}[args.metric]
+        score = corpus_score(hyps, refs)
         print(f"{label} {score:.1f} n={len(hyps)}")
         payload = {args.metric: score, "n_pairs": len(hyps)}
 

@@ -39,6 +39,10 @@ class MalformedResponse(ToolError):
     """The endpoint answered 2xx but the expected content is missing."""
 
 
+class BadProxy(ToolError, ValueError):
+    """The HTTP(S)_PROXY setting has a port that is not a number or out of range."""
+
+
 @dataclass(frozen=True)
 class EndpointConfig:
     base_url: str
@@ -89,7 +93,10 @@ def _open(base_url: str, timeout: float) -> tuple[HTTPConnection, str]:
     if not proxy or proxy_bypass(parts.netloc):
         return cls(parts.hostname, parts.port, timeout=timeout), parts.path
     via = urlsplit(proxy if "://" in proxy else "http://" + proxy)
-    conn = cls(via.hostname, via.port or 80, timeout=timeout)
+    try:
+        conn = cls(via.hostname, via.port or 80, timeout=timeout)
+    except ValueError as exc:
+        raise BadProxy(f"{parts.scheme} proxy setting {proxy!r}: {exc}") from exc
     if parts.scheme == "http":  # an HTTP proxy takes the absolute URI
         return conn, url
     conn.set_tunnel(parts.hostname, parts.port)

@@ -3,9 +3,9 @@
 A job owns two files: a JSON state file holding the run fingerprint plus the
 last known-good journal length, and an append-only journal of completed items
 (one JSON line per item). State file updates are atomic
-(write-new-then-rename). On resume the journal's valid prefix is replayed and
-any torn tail past the recorded position is truncated, so an item recorded in
-the journal is never re-sent.
+(write-new-then-rename). On resume the journal is read line by line; a torn
+tail past the recorded position is truncated, and a whole last entry that lost
+its newline gets it back. An item recorded in the journal is never re-sent.
 """
 
 from __future__ import annotations
@@ -66,30 +66,26 @@ class JobState:
                     f"state at {self.state_path} was created for a different run"
                 )
 
-        if self.journal_path.exists():
-            raw = self.journal_path.read_bytes()
+        self.state_path.parent.mkdir(parents=True, exist_ok=True)
+        with open(self.journal_path, "a+b") as journal:
+            journal.seek(0)
             pos = 0
-            while pos < len(raw):
-                newline = raw.find(b"\n", pos)
-                end = len(raw) if newline == -1 else newline
+            for line in journal:
                 try:
-                    entry = json.loads(raw[pos:end].decode("utf-8"))
+                    entry = json.loads(line.decode("utf-8"))
                     index = int(entry["i"])
                     text = entry["text"]
-                except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-                    if pos >= recorded_pos:
-                        # Torn tail from an interrupted write: drop it.
-                        with open(self.journal_path, "r+b") as fh:
-                            fh.truncate(pos)
-                        break
-                    raise StateCorrupt(
-                        f"journal {self.journal_path} damaged before its "
-                        f"recorded position {recorded_pos}"
-                    ) from exc
+                except (ValueError, KeyError, TypeError) as exc:  # UnicodeDecodeError too
+                    if pos < recorded_pos:
+                        raise StateCorrupt(f"journal {self.journal_path} damaged before its "
+                                           f"recorded position {recorded_pos}") from exc
+                    journal.truncate(pos)  # torn tail from an interrupted write
+                    break
                 self.completed[index] = text
-                pos = end + 1
-        else:
-            self.state_path.parent.mkdir(parents=True, exist_ok=True)
+                pos += len(line)
+            else:
+                if pos and not line.endswith(b"\n"):  # a whole last entry lost its newline
+                    journal.write(b"\n")
 
         self._journal = open(self.journal_path, "ab")
         self.checkpoint()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +82,15 @@ def test_quantize_command(tmp_path, rng, capsys):
     assert quantized.tensors["w"].dtype is DType.F8_E4M3
     assert quantized.tensors["v"].dtype is DType.F32
     assert "w.scale" in quantized.tensors
+
+
+def test_quantize_logs_how_many_tensors_it_quantized(tmp_path, rng, caplog):
+    caplog.set_level(logging.INFO)
+    src = tmp_path / "model.safetensors"
+    _write_checkpoint(src, rng, names=("w", "v", "u"))
+    out = tmp_path / "model-fp8.safetensors"
+    assert run_cli(["quantize", "--in", str(src), "--out", str(out), "--skip", "v"]) == 0
+    assert [r.getMessage() for r in caplog.records] == [f"quantized 2 of 3 tensors -> {out}"]
 
 
 def test_quantize_failure_in_a_late_tensor_leaves_no_output(tmp_path, rng):
@@ -286,6 +296,23 @@ def test_translate_corpus_command(tmp_path, capsys):
     assert rows[1]["instr_ar"] == "عربي<ask 1>"
     assert rows[2]["resp_ar"] == "عربي<ans 2>"
     assert all(r["source"] == "unit" for r in rows)
+
+
+def test_malformed_proxy_variable_is_one_line_error(tmp_path, monkeypatch, caplog):
+    for name in ("http_proxy", "NO_PROXY", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", "http://proxy:port")
+    records = tmp_path / "records.jsonl"
+    pipeline.write_records(records, [{"instruction": "ask", "response": "ans"}])
+    out = tmp_path / "tuples.jsonl"
+    code = run_cli([
+        "translate-corpus", "--in", str(records), "--out", str(out), "--template", "teacher",
+        "--state", str(tmp_path / "tr.state"), "--base-url", "http://127.0.0.1:9", "--model", "m",
+    ])
+    assert code == 1
+    [record] = caplog.records
+    assert "http proxy setting 'http://proxy:port'" in record.getMessage()
+    assert not out.exists()
 
 
 def test_sample_eval_and_report(tmp_path, capsys):

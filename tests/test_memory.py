@@ -1,5 +1,5 @@
 """Peak memory of ``mtpipe merge`` is bounded by its largest tensor, not by
-the size of the checkpoints."""
+the size of the checkpoints, and a resumed JobState holds each reply once."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import pytest
 
 import mtpipe
 from mtpipe import tensorio as tio
+from mtpipe.state import JobState
 
 pytestmark = pytest.mark.skipif(
     not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc"
@@ -20,14 +21,22 @@ pytestmark = pytest.mark.skipif(
 
 # VmHWM is the process's own high-water RSS since exec; ru_maxrss would also
 # count the forking pytest process.
+PRINT_VMHWM = """
+with open("/proc/self/status") as fh:
+    print(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+"""
 CHILD = """
 import sys
 from mtpipe.cli import main
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-with open("/proc/self/status") as fh:
-    print(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
-sys.exit(code)
-"""
+""" + PRINT_VMHWM + "sys.exit(code)\n"
+# Resumes the JobState named by its argument, if any.
+LOAD_CHILD = """
+import sys
+from mtpipe.state import JobState
+if len(sys.argv) > 1:
+    JobState(sys.argv[1], "fp").close()
+""" + PRINT_VMHWM
 
 N_TENSORS = 32
 TENSOR_ELEMS = (1 << 20) // 4  # 1 MB of float32
@@ -44,11 +53,11 @@ def _write(path: Path, seed: int) -> None:
     tio.write_checkpoint(tio.TensorStream({n: info for n in names}, {}, payloads), path)
 
 
-def _peak_bytes(args: list[str], cwd: Path) -> int:
+def _peak_bytes(args: list[str], cwd: Path, child: str = CHILD) -> int:
     env = dict(os.environ)
     src = str(Path(mtpipe.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if "PYTHONPATH" in env else []))
-    proc = subprocess.run([sys.executable, "-c", CHILD, *args], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", child, *args], capture_output=True,
                           text=True, env=env, cwd=cwd, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return int(proc.stdout.split()[-1]) * 1024
@@ -64,3 +73,14 @@ def test_merge_peak_memory_grows_by_less_than_one_input(tmp_path):
     assert set(tio.read_checkpoint(tmp_path / "m.safetensors").tensors) == {
         f"layer.{i:02d}" for i in range(N_TENSORS)}
     assert peak - baseline < a.stat().st_size
+
+
+def test_resume_peak_memory_grows_by_less_than_one_and_a_half_journals(tmp_path):
+    state_path = tmp_path / "job.state"
+    with JobState(state_path, "fp") as state:
+        for i in range(10_000):
+            state.record(i, f"{i:08d}" + "x" * 4000)
+    journal = state_path.with_name(state_path.name + ".journal")
+    baseline = _peak_bytes([], tmp_path, LOAD_CHILD)
+    peak = _peak_bytes([str(state_path)], tmp_path, LOAD_CHILD)
+    assert peak - baseline < 1.5 * journal.stat().st_size

@@ -57,6 +57,33 @@ def test_unterminated_but_complete_final_line_is_kept(tmp_path):
         assert state.completed == {0: "ok", 1: "no newline"}
 
 
+def test_entry_recorded_after_a_restored_newline_survives_the_next_resume(tmp_path):
+    path = tmp_path / "job.state"
+    journal = path.with_name(path.name + ".journal")
+    journal.write_bytes(b'{"i": 0, "text": "a"}\n{"i": 1, "text": "b"}')
+    with JobState(path, "fp") as state:
+        state.record(2, "c")
+    with JobState(path, "fp") as state:
+        assert state.completed == {0: "a", 1: "b", 2: "c"}
+    assert journal.read_bytes().count(b"\n") == 3
+
+
+def test_damage_before_the_recorded_position_is_state_corrupt(tmp_path):
+    path = tmp_path / "job.state"
+    with JobState(path, "fp") as state:
+        for i in range(4):
+            state.record(i, f"item {i}")
+    journal = path.with_name(path.name + ".journal")
+    raw = bytearray(journal.read_bytes())
+    raw[raw.index(b"item 1") - 2] = ord("#")  # the opening quote of the second entry's text
+    journal.write_bytes(bytes(raw))
+    meta = path.read_bytes()
+    with pytest.raises(StateCorrupt, match=r"damaged before its recorded position \d+"):
+        JobState(path, "fp")
+    assert journal.read_bytes() == bytes(raw)
+    assert path.read_bytes() == meta
+
+
 def test_state_file_is_json_with_counts(tmp_path):
     path = tmp_path / "job.state"
     with JobState(path, "fp") as state:
