@@ -26,7 +26,6 @@ from .tensorio import (
     chunks,
     f64_chunks,
     tensor_as_f64,
-    tensor_from_f64,
 )
 
 SCALE_SUFFIX = ".scale"
@@ -70,21 +69,38 @@ def quantize_fp8(t: Tensor) -> QuantizedTensor:
     Raises AlreadyQuantized for 8-bit input and NonFiniteInput if any element
     is NaN or infinite.
     """
+    return _quantize_audited("", t)[0]
+
+
+def _quantize_audited(name: str, t: Tensor) -> tuple[QuantizedTensor, TensorAudit]:
+    """quantize_fp8 and audit_tensor in one pass over the decoded source: each
+    chunk is encoded, then audited from its codes while it is in cache."""
     if t.dtype is DType.F8_E4M3:
         raise AlreadyQuantized("tensor already carries 8-bit codes")
     values = tensor_as_f64(t)
-    scale = float(np.float32(compute_scale(values)))
-    values /= scale
-    return QuantizedTensor(tensor_from_f64(values, DType.F8_E4M3, t.shape), scale)
+    amax = float(np.max([np.max(np.abs(values[s])) for s in chunks(values.size)], initial=0.0))
+    # max|v| alone sets the scale, and it is NaN or infinite iff a value is.
+    scale = float(np.float32(compute_scale((amax,))))
+    table = _restore_table(scale)
+    codes = np.empty(values.size, dtype=np.uint8)
+    max_rel = 0.0
+    for s in chunks(values.size):
+        codes[s] = fp8.encode_array(values[s] / scale)
+        max_rel = max(max_rel, _max_rel_err(values[s], table[codes[s]], scale))
+    q = QuantizedTensor(Tensor(DType.F8_E4M3, t.shape, codes.tobytes()), scale)
+    return q, TensorAudit(name, amax, scale, max_rel)
 
 
-def _dequantize(codes: np.ndarray, scale: float) -> np.ndarray:
-    return (fp8.decode_array(codes) * scale).astype("<f4")
+def _restore_table(scale: float) -> np.ndarray:
+    """decode(code) * scale rounded to float32, for each of the 256 codes, as
+    float64: one lookup restores a tensor's codes wherever they are read."""
+    return (fp8.DECODE_TABLE * scale).astype("<f4").astype(np.float64)
 
 
 def dequantize_fp8(q: QuantizedTensor) -> Tensor:
     """Reconstruct a float32 tensor as decode(code) * scale."""
-    values = _dequantize(np.frombuffer(q.codes.data, dtype=np.uint8), q.scale)
+    codes = np.frombuffer(q.codes.data, dtype=np.uint8)
+    values = _restore_table(q.scale)[codes].astype("<f4")
     return Tensor(DType.F32, q.codes.shape, values.tobytes())
 
 
@@ -144,16 +160,23 @@ def audit_tensor(name: str, original: Tensor, q: QuantizedTensor | None) -> Tens
     amax, max_rel = 0.0, 0.0
     scale = q.scale if q is not None else 1.0
     codes = np.frombuffer(q.codes.data, dtype=np.uint8) if q is not None else None
+    table = _restore_table(scale)
     for s, values in zip(chunks(original.numel), f64_chunks(original)):
         amax = float(np.maximum(amax, np.max(np.abs(values))))
-        if codes is None:
-            continue
-        restored = _dequantize(codes[s], scale).astype(np.float64)
-        mask = np.abs(values) >= scale * 2.0**-6
-        if mask.any():
-            rel = np.abs(restored[mask] - values[mask]) / np.abs(values[mask])
-            max_rel = max(max_rel, float(rel.max()))
+        if codes is not None:
+            max_rel = max(max_rel, _max_rel_err(values, table[codes[s]], scale))
     return TensorAudit(name, amax, scale, max_rel, skipped=q is None)
+
+
+def _max_rel_err(values: np.ndarray, restored: np.ndarray, scale: float) -> float:
+    """Max |restored - v| / |v| over the values at or above scale * 2**-6,
+    0.0 if there are none. Overwrites ``restored``."""
+    magnitude = np.abs(values)
+    mask = magnitude >= scale * 2.0**-6
+    np.subtract(restored, values, out=restored)
+    np.abs(restored, out=restored)
+    np.divide(restored, magnitude, out=restored, where=mask)
+    return float(np.max(restored, where=mask, initial=0.0))
 
 
 def quantize_stream(src, policy: QuantPolicy) -> tuple[TensorStream, dict[str, TensorAudit]]:
@@ -194,10 +217,9 @@ def quantize_stream(src, policy: QuantPolicy) -> tuple[TensorStream, dict[str, T
                 yield t
                 continue
             try:
-                q = quantize_fp8(t)
+                q, audits[name] = _quantize_audited(name, t)
             except fp8.NonFiniteInput as exc:
                 raise fp8.NonFiniteInput(f"{name!r}: {exc}") from exc
-            audits[name] = audit_tensor(name, t, q)
             scales[name] = q.scale
             yield q.codes
 

@@ -12,6 +12,8 @@ import math
 import unicodedata
 from fractions import Fraction
 
+import numpy as np
+
 # ---------------------------------------------------------------------------
 # 8-bit float values from first principles
 # ---------------------------------------------------------------------------
@@ -27,6 +29,21 @@ def e4m3_exact_value(code: int) -> Fraction | None:
     if exponent == 0:
         return sign * Fraction(mantissa, 512)
     return sign * Fraction(8 + mantissa, 8) * Fraction(2) ** (exponent - 7)
+
+
+def naive_audit(values: np.ndarray, codes: np.ndarray, scale: float) -> tuple[float, float]:
+    """amax and max relative error of a tensor's codes in two whole-array
+    passes: restore every code as float32(value * scale), then compare the
+    elements at or above scale * 2**-6, picked out by a boolean index."""
+    amax = float(np.abs(values).max()) if values.size else 0.0
+    exact = [e4m3_exact_value(c) for c in range(256)]
+    decoded = np.array([math.nan if v is None else float(v) for v in exact])
+    restored = (decoded[codes] * scale).astype(np.float32).astype(np.float64)
+    mask = np.abs(values) >= scale * 2.0**-6
+    if not mask.any():
+        return amax, 0.0
+    rel = np.abs(restored[mask] - values[mask]) / np.abs(values[mask])
+    return amax, float(rel.max())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Peak memory of ``mtpipe merge`` is bounded by its largest tensor, not by
-the size of the checkpoints, and a resumed JobState holds each reply once."""
+"""Peak memory of ``mtpipe merge`` and ``mtpipe quantize`` is bounded by the
+largest tensor, not by the size of the checkpoints, and a resumed JobState
+holds each reply once."""
 
 from __future__ import annotations
 
@@ -73,6 +74,17 @@ def test_merge_peak_memory_grows_by_less_than_one_input(tmp_path):
     assert set(tio.read_checkpoint(tmp_path / "m.safetensors").tensors) == {
         f"layer.{i:02d}" for i in range(N_TENSORS)}
     assert peak - baseline < a.stat().st_size
+
+
+def test_quantize_peak_memory_grows_by_less_than_one_input(tmp_path):
+    src = tmp_path / "a.safetensors"
+    _write(src, 1)
+    baseline = _peak_bytes([], tmp_path)
+    peak = _peak_bytes(["quantize", "--in", str(src), "--out", "q.safetensors"], tmp_path)
+    names = {f"layer.{i:02d}" for i in range(N_TENSORS)}
+    assert set(tio.read_checkpoint(tmp_path / "q.safetensors").tensors) == names | {
+        f"{name}.scale" for name in names}
+    assert peak - baseline < src.stat().st_size
 
 
 def test_resume_peak_memory_grows_by_less_than_one_and_a_half_journals(tmp_path):

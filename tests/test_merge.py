@@ -5,7 +5,14 @@ import pytest
 
 from mtpipe import merge
 from mtpipe.quant import QuantPolicy, quantize_checkpoint
-from mtpipe.tensorio import Checkpoint, DType, Tensor, tensor_as_f64, tensor_from_f64
+from mtpipe.tensorio import (
+    CHUNK_ELEMS,
+    Checkpoint,
+    DType,
+    Tensor,
+    tensor_as_f64,
+    tensor_from_f64,
+)
 
 from conftest import random_checkpoint
 from oracles import naive_slerp
@@ -73,6 +80,20 @@ def test_parallel_inputs_stable(rng):
     out = merge.slerp_vec(a, a * 3.0, 0.5)
     assert np.isfinite(out).all()
     assert np.allclose(out, 2.0 * a)
+
+
+@pytest.mark.parametrize(
+    "n", (CHUNK_ELEMS - 1, CHUNK_ELEMS, CHUNK_ELEMS + 1, 3 * CHUNK_ELEMS + 5))
+def test_chunked_slerp_matches_whole_array_numpy_across_chunk_boundaries(rng, n):
+    a = rng.standard_normal(n)
+    b = a + 0.5 * rng.standard_normal(n)
+    t = 0.3
+    omega = np.arccos(np.clip(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)), -1, 1))
+    expected = np.sin((1 - t) * omega) / np.sin(omega) * a + np.sin(t * omega) / np.sin(omega) * b
+    assert merge.slerp_vec(a, b, t).tobytes() == expected.tobytes()
+    out = a.copy()
+    assert merge.slerp_vec(out, b, t, out=out) is out
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_shape_mismatch_and_t_range(rng):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from mtpipe import fp8, merge, quant
-from mtpipe.tensorio import Checkpoint, DType, Tensor, tensor_as_f64, tensor_from_f64
+from mtpipe.tensorio import CHUNK_ELEMS, Checkpoint, DType, Tensor, tensor_as_f64, tensor_from_f64
+
+from oracles import naive_audit
 
 
 def f32_tensor(values, shape=None):
@@ -166,3 +168,39 @@ def test_audit_and_merge_reject_a_bad_scale_companion_alike(rng, companion):
         quant.validate_quantization(original, bad, quant.QuantPolicy())
     with pytest.raises(merge.ShapeMismatch, match=message):
         merge.merge_checkpoints(bad, quantized, merge.MergeSpec())
+
+
+def test_fused_validated_and_two_pass_audits_agree_across_chunks(rng):
+    # Multi-chunk tensors whose largest element sits in the last chunk, with
+    # zeros and elements below the relative-error floor in every chunk.
+    layout = {"a": (DType.F32, 3 * CHUNK_ELEMS + 5), "b": (DType.BF16, CHUNK_ELEMS + 1),
+              "c": (DType.F16, CHUNK_ELEMS - 1), "d": (DType.F32, CHUNK_ELEMS),
+              "e.norm": (DType.BF16, 2 * CHUNK_ELEMS + 3)}
+    tensors = {}
+    for name, (dtype, n) in layout.items():
+        values = rng.standard_normal(n)
+        values[::97] = 0.0
+        values[::89] *= 1e-4
+        values[-2] = 40.0
+        tensors[name] = tensor_from_f64(values, dtype, (n,))
+    original = Checkpoint(tensors=tensors)
+    policy = quant.QuantPolicy(skip_patterns=("*.norm",))
+
+    stream, fused = quant.quantize_stream(original, policy)
+    quantized = stream.collect()
+    validated = quant.validate_quantization(
+        original, quant.quantize_checkpoint(original, policy), policy)
+    oracle = {}
+    for name, t in tensors.items():
+        values = tensor_as_f64(t)
+        if policy.skips(name):
+            oracle[name] = quant.TensorAudit(name, float(np.abs(values).max()), 1.0, 0.0, True)
+            continue
+        scale = float(np.float32(np.abs(values).max() / fp8.E4M3_MAX))
+        stored = np.frombuffer(quantized.tensors[f"{name}.scale"].data, dtype="<f4")
+        codes = np.frombuffer(quantized.tensors[name].data, dtype=np.uint8)
+        assert float(stored[0]) == scale
+        assert codes.tobytes() == fp8.encode_array(values / scale).tobytes()
+        amax, max_rel = naive_audit(values, codes, scale)
+        oracle[name] = quant.TensorAudit(name, amax, scale, max_rel)
+    assert fused == {a.name: a for a in validated} == oracle

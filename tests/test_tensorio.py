@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtpipe import tensorio as tio
+from mtpipe import fp8, tensorio as tio
 
 from conftest import random_checkpoint
 
@@ -202,6 +202,45 @@ def test_tensor_as_f64_identity_for_f32():
 def test_tensor_as_f64_preserves_nan():
     tensor = tio.Tensor(tio.DType.F32, (1,), struct.pack("<f", float("nan")))
     assert np.isnan(tio.tensor_as_f64(tensor))[0]
+
+
+# Element counts just inside, at and across chunk boundaries.
+ACROSS_CHUNKS = (tio.CHUNK_ELEMS - 1, tio.CHUNK_ELEMS, tio.CHUNK_ELEMS + 1, 3 * tio.CHUNK_ELEMS + 5)
+
+
+@np.errstate(invalid="ignore")  # widening a signalling NaN
+def _whole_array_decode(payload: bytes, dtype: tio.DType) -> np.ndarray:
+    if dtype is tio.DType.BF16:
+        bits = np.frombuffer(payload, dtype="<u2").astype(np.uint32) << 16
+        return bits.view(np.float32).astype(np.float64)
+    if dtype is tio.DType.F8_E4M3:
+        return fp8.DECODE_TABLE[np.frombuffer(payload, dtype=np.uint8)]
+    return np.frombuffer(payload, dtype={"F32": "<f4", "F16": "<f2"}[dtype.value]).astype(np.float64)
+
+
+def _whole_array_encode(values: np.ndarray, dtype: tio.DType) -> np.ndarray:
+    if dtype is tio.DType.F32:
+        return values.astype("<f4")
+    if dtype is tio.DType.F16:
+        return np.clip(values, -65504.0, 65504.0).astype("<f2")
+    if dtype is tio.DType.BF16:
+        bits = values.astype(np.float32).view(np.uint32).astype(np.uint64)
+        nearest_even = (bits + 0x7FFF + ((bits >> 16) & 1)) >> 16
+        return np.where(np.isnan(values), (bits >> 16) | 0x40, nearest_even).astype("<u2")
+    return fp8.encode_array(values)
+
+
+@pytest.mark.parametrize("n", ACROSS_CHUNKS)
+@pytest.mark.parametrize("dtype", list(tio.DType), ids=lambda d: d.value)
+def test_chunked_codecs_match_whole_array_numpy_across_chunk_boundaries(rng, dtype, n):
+    payload = rng.integers(0, 256, size=n * dtype.itemsize, dtype=np.uint8).tobytes()
+    decoded = tio.tensor_as_f64(tio.Tensor(dtype, (n,), payload))
+    assert decoded.tobytes() == _whole_array_decode(payload, dtype).tobytes()
+
+    values = rng.standard_normal(n) * np.exp2(rng.integers(-30, 30, size=n))
+    values[[0, n // 2, n - 2, n - 1]] = np.nan, -np.inf, -0.0, 1e6
+    encoded = tio.tensor_from_f64(values, dtype, (n,))
+    assert encoded.data == _whole_array_encode(values, dtype).tobytes()
 
 
 def test_tensor_payload_length_validated():
