@@ -52,33 +52,47 @@ def decode_array(codes: np.ndarray) -> np.ndarray:
     return DECODE_TABLE[np.asarray(codes, dtype=np.uint8)]
 
 
-def encode_array(values: np.ndarray) -> np.ndarray:
+def encode_scratch(n: int) -> tuple[np.ndarray, ...]:
+    """Working arrays for encode_array on up to n values."""
+    return np.empty(n), np.empty(n), np.empty(n, dtype=np.intc), np.empty(n, dtype=np.bool_)
+
+
+def encode_array(values: np.ndarray, out: np.ndarray | None = None, *,
+                 scratch: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """Round values onto the 8-bit value grid and return their uint8 codes.
 
     Rounding is to nearest with ties to even (even mantissa code wins a tie).
     Magnitudes above 448 saturate to +-448, NaN maps to the NaN code, and the
-    sign of zero is preserved. Total over any float input.
+    sign of zero is preserved. Total over any float input. The codes go to
+    ``out`` when given, and the work to ``scratch`` from encode_scratch, so a
+    caller that passes both allocates no array.
     """
     shape = np.shape(values)
     v = np.asarray(values, dtype=np.float64).reshape(-1)
-    mag = np.minimum(np.abs(v), E4M3_MAX)
+    mag, step, shift, mask = (a[: v.size] for a in scratch or encode_scratch(v.size))
+    codes = np.empty(v.size, dtype=np.uint8) if out is None else out.reshape(-1)
+    np.abs(v, out=mag)
+    np.minimum(mag, E4M3_MAX, out=mag)
     # With frexp's exponent e (mag in [2**(e-1), 2**e)), the mantissa step is
     # 2**(e-4); e is floored at -5, where the subnormal step 2**-9 begins.
     # Scaling by a power of two is exact, so rint rounds to nearest-even on
     # the step count n itself, and a carry into the next exponent is the
     # next code. The code is n + 8*e + 40; NaN lanes are overwritten below.
-    _, shift = np.frexp(np.maximum(mag, 2.0**-6))
+    np.frexp(np.maximum(mag, 2.0**-6, out=step), out=(step, shift))
     np.subtract(4, shift, out=shift)
     with np.errstate(invalid="ignore"):
         n = np.ldexp(mag, shift, out=mag)
         np.rint(n, out=n)
         shift *= -8
         shift += 72
-        n += shift
-        codes = n.astype(np.uint8)
-    codes |= np.signbit(v).view(np.uint8) << 7
-    codes[np.isnan(v)] = NAN_CODE
-    return codes.reshape(shape)
+        np.copyto(step, shift)
+        n += step
+        np.copyto(codes, n, casting="unsafe")
+    sign = np.signbit(v, out=mask).view(np.uint8)
+    sign <<= 7
+    codes |= sign
+    np.copyto(codes, NAN_CODE, where=np.isnan(v, out=mask))
+    return codes.reshape(shape) if out is None else out
 
 
 def encode_e4m3(x: float) -> int:

@@ -112,10 +112,6 @@ class Verdict:
     kind: VerdictKind
     raw: str = ""
 
-    @property
-    def is_accept(self) -> bool:
-        return self.kind is VerdictKind.ACCEPT
-
 
 def parse_verdict(raw: str) -> Verdict:
     """Normalize a judge reply: lowercase, trim, strip trailing sentence

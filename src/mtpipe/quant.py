@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import fnmatch
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -18,14 +18,13 @@ from . import fp8
 from .errors import ShapeMismatch, ToolError
 from .fp8 import compute_scale
 from .tensorio import (
+    CHUNK_ELEMS,
     Checkpoint,
+    Codec,
     DType,
     Tensor,
     TensorInfo,
     TensorStream,
-    chunks,
-    f64_chunks,
-    tensor_as_f64,
 )
 
 SCALE_SUFFIX = ".scale"
@@ -69,26 +68,8 @@ def quantize_fp8(t: Tensor) -> QuantizedTensor:
     Raises AlreadyQuantized for 8-bit input and NonFiniteInput if any element
     is NaN or infinite.
     """
-    return _quantize_audited("", t)[0]
-
-
-def _quantize_audited(name: str, t: Tensor) -> tuple[QuantizedTensor, TensorAudit]:
-    """quantize_fp8 and audit_tensor in one pass over the decoded source: each
-    chunk is encoded, then audited from its codes while it is in cache."""
-    if t.dtype is DType.F8_E4M3:
-        raise AlreadyQuantized("tensor already carries 8-bit codes")
-    values = tensor_as_f64(t)
-    amax = float(np.max([np.max(np.abs(values[s])) for s in chunks(values.size)], initial=0.0))
-    # max|v| alone sets the scale, and it is NaN or infinite iff a value is.
-    scale = float(np.float32(compute_scale((amax,))))
-    table = _restore_table(scale)
-    codes = np.empty(values.size, dtype=np.uint8)
-    max_rel = 0.0
-    for s in chunks(values.size):
-        codes[s] = fp8.encode_array(values[s] / scale)
-        max_rel = max(max_rel, _max_rel_err(values[s], table[codes[s]], scale))
-    q = QuantizedTensor(Tensor(DType.F8_E4M3, t.shape, codes.tobytes()), scale)
-    return q, TensorAudit(name, amax, scale, max_rel)
+    out = quantize_checkpoint(Checkpoint(tensors={"tensor": t}), QuantPolicy())
+    return QuantizedTensor(out.tensors["tensor"], read_scale(out, "tensor.scale"))
 
 
 def _restore_table(scale: float) -> np.ndarray:
@@ -131,14 +112,6 @@ def read_scale(src, companion: str | None) -> float:
     return float(np.frombuffer(src.read(companion).data, dtype="<f4")[0])
 
 
-def dequantized(src, name: str, companion: str | None) -> np.ndarray:
-    """A tensor's values at float64, times its companion's scale if it has one."""
-    values = tensor_as_f64(src.read(name))
-    if companion is not None:
-        values *= read_scale(src, companion)
-    return values
-
-
 @dataclass(frozen=True)
 class TensorAudit:
     """Post-conversion validation record for one quantized tensor."""
@@ -157,35 +130,81 @@ def audit_tensor(name: str, original: Tensor, q: QuantizedTensor | None) -> Tens
     (the smallest normal magnitude); smaller elements see absolute rather
     than relative rounding and are excluded. Runs a chunk at a time.
     """
-    amax, max_rel = 0.0, 0.0
-    scale = q.scale if q is not None else 1.0
-    codes = np.frombuffer(q.codes.data, dtype=np.uint8) if q is not None else None
-    table = _restore_table(scale)
-    for s, values in zip(chunks(original.numel), f64_chunks(original)):
-        amax = float(np.maximum(amax, np.max(np.abs(values))))
-        if codes is not None:
-            max_rel = max(max_rel, _max_rel_err(values, table[codes[s]], scale))
-    return TensorAudit(name, amax, scale, max_rel, skipped=q is None)
+    if q is not None and q.codes.shape != original.shape:
+        raise ShapeMismatch(f"{name!r}: codes {list(q.codes.shape)}, "
+                            f"original {list(original.shape)}")
+    scale, codes = (None, None) if q is None else (q.scale, q.codes.pieces())
+    audits: dict[str, TensorAudit] = {}
+    for _ in _Kernels().audited(name, original.dtype, original.pieces(), scale, codes, audits):
+        pass
+    return audits[name]
 
 
-def _max_rel_err(values: np.ndarray, restored: np.ndarray, scale: float) -> float:
-    """Max |restored - v| / |v| over the values at or above scale * 2**-6,
-    0.0 if there are none. Overwrites ``restored``."""
-    magnitude = np.abs(values)
-    mask = magnitude >= scale * 2.0**-6
-    np.subtract(restored, values, out=restored)
-    np.abs(restored, out=restored)
-    np.divide(restored, magnitude, out=restored, where=mask)
-    return float(np.max(restored, where=mask, initial=0.0))
+class _Kernels:
+    """The chunk buffers of one quantize or audit stream. Decoding, scaling,
+    encoding and auditing all write into them, so no chunk allocates."""
+
+    def __init__(self) -> None:
+        self.codec = Codec()
+        self._scaled, self._magnitude, self._restored = np.empty((3, CHUNK_ELEMS))
+        self._mask = np.empty(CHUNK_ELEMS, dtype=np.bool_)
+
+    def amax(self, dtype: DType, pieces: Iterable) -> float:
+        """max |v| over a payload; NaN if a value is NaN."""
+        amax = 0.0
+        for piece in pieces:
+            values = self.codec.decode(piece, dtype)
+            amax = np.maximum(amax, np.abs(values, out=self._magnitude[: values.size]).max())
+        return float(amax)
+
+    def audited(self, name: str, dtype: DType, pieces: Iterable, scale: float | None,
+                codes: Iterator | None, audits: dict[str, TensorAudit]) -> Iterator:
+        """One tensor's output pieces; audits[name] holds its audit once the
+        last is taken.
+
+        With ``scale`` None the tensor is skipped: its pieces pass through and
+        only amax is audited. Otherwise each chunk's codes, the next of
+        ``codes`` or else the chunk encoded at ``scale``, are audited against
+        it and yielded.
+        """
+        amax, max_rel = 0.0, 0.0
+        table = _restore_table(scale or 1.0)
+        for piece in pieces:
+            values = self.codec.decode(piece, dtype)
+            n = values.size
+            magnitude = np.abs(values, out=self._magnitude[:n])
+            amax = np.maximum(amax, magnitude.max())
+            if scale is not None:
+                if codes is None:
+                    scaled = np.divide(values, scale, out=self._scaled[:n])
+                    piece = self.codec.encode(scaled, DType.F8_E4M3)
+                else:
+                    piece = next(codes)
+                restored = self.codec.lookup(table, np.frombuffer(piece, dtype=np.uint8),
+                                             self._restored[:n])
+                max_rel = max(max_rel, self._max_rel_err(values, magnitude, restored, scale))
+            yield piece
+        audits[name] = TensorAudit(name, float(amax), scale or 1.0, max_rel, scale is None)
+
+    def _max_rel_err(self, values, magnitude, restored, scale: float) -> float:
+        """Max |restored - v| / |v| over the values at or above scale * 2**-6,
+        0.0 if there are none. Overwrites ``restored``."""
+        mask = np.greater_equal(magnitude, scale * 2.0**-6, out=self._mask[: values.size])
+        np.subtract(restored, values, out=restored)
+        np.abs(restored, out=restored)
+        np.divide(restored, magnitude, out=restored, where=mask)
+        return float(np.max(restored, where=mask, initial=0.0))
 
 
 def quantize_stream(src, policy: QuantPolicy) -> tuple[TensorStream, dict[str, TensorAudit]]:
-    """Quantize a checkpoint one tensor at a time.
+    """Quantize a checkpoint one tensor, and one chunk of it, at a time.
 
     ``src`` is a Checkpoint or an open CheckpointFile. Every check that needs
-    no payload runs before this returns. Tensors the policy skips copy through
-    verbatim. Each tensor's audit lands in the returned dict as its payload is
-    produced. The policy is recorded in the output metadata.
+    no payload runs before this returns. Each tensor takes two passes over
+    its payload chunks: the first finds its amax, the second encodes and
+    audits each chunk. Tensors the policy skips copy through verbatim, piece
+    by piece. Each tensor's audit lands in the returned dict once its last
+    piece is produced. The policy is recorded in the output metadata.
     """
     infos: dict[str, TensorInfo] = {}
     scale_names: dict[str, str] = {}
@@ -204,24 +223,25 @@ def quantize_stream(src, policy: QuantPolicy) -> tuple[TensorStream, dict[str, T
 
     audits: dict[str, TensorAudit] = {}
 
-    def payloads() -> Iterator[Tensor]:
+    def payloads() -> Iterator[Tensor | Iterator]:
+        k = _Kernels()
         scales: dict[str, float] = {}
         # Sorted order puts every name before its own ``.scale``.
         for name in sorted(infos):
             if name in scale_names:
                 yield _scale_tensor(scales.pop(scale_names[name]))
                 continue
-            t = src.read(name)
-            if policy.skips(name):
-                audits[name] = audit_tensor(name, t, None)
-                yield t
-                continue
-            try:
-                q, audits[name] = _quantize_audited(name, t)
-            except fp8.NonFiniteInput as exc:
-                raise fp8.NonFiniteInput(f"{name!r}: {exc}") from exc
-            scales[name] = q.scale
-            yield q.codes
+            dtype = src.tensors[name].dtype
+            scale = None
+            if not policy.skips(name):
+                # Pass 1: max|v| alone sets the scale, and it is NaN or
+                # infinite iff a value is.
+                amax = k.amax(dtype, src.pieces(name, k.codec.raw))
+                try:
+                    scale = scales[name] = float(np.float32(compute_scale((amax,))))
+                except fp8.NonFiniteInput as exc:
+                    raise fp8.NonFiniteInput(f"{name!r}: {exc}") from exc
+            yield k.audited(name, dtype, src.pieces(name, k.codec.raw), scale, None, audits)
 
     metadata = dict(src.metadata)
     metadata["quantization"] = "fp8-e4m3-dynamic"

@@ -73,8 +73,9 @@ class JobState:
             for line in journal:
                 try:
                     entry = json.loads(line.decode("utf-8"))
-                    index = int(entry["i"])
-                    text = entry["text"]
+                    index, text = entry["i"], entry["text"]
+                    if type(index) is not int or not isinstance(text, str):
+                        raise TypeError(f"entry {entry!r} is not an int index and a str text")
                 except (ValueError, KeyError, TypeError) as exc:  # UnicodeDecodeError too
                     if pos < recorded_pos:
                         raise StateCorrupt(f"journal {self.journal_path} damaged before its "

@@ -7,10 +7,13 @@ offsets relative to the start of the data section, plus an optional
 serialized with names in sorted order and payloads packed in that same order,
 so two writes of the same checkpoint are byte-identical.
 
-Both directions work one tensor at a time. ``open_checkpoint`` validates the
-header and reads each payload only when asked for it; ``write_checkpoint``
-builds the header from dtypes and shapes alone and then pulls payloads one by
-one, so a ``TensorStream`` is written without the whole model in memory.
+Both directions work one chunk of CHUNK_ELEMS elements at a time, so memory
+is bounded by a chunk, not by the largest tensor. ``open_checkpoint``
+validates the header, and ``CheckpointFile.pieces`` reads a payload chunk by
+chunk into one reused buffer. ``write_checkpoint`` builds the header from
+dtypes and shapes alone, then writes each tensor's payload pieces as a
+``TensorStream`` produces them. ``Codec`` decodes pieces to float64 and
+encodes float64 back into buffers it allocates once.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -33,10 +36,9 @@ from .errors import ToolError
 # Defends against hostile length prefixes.
 MAX_HEADER_BYTES = 100 * 1024 * 1024
 
-# Elements per step of the elementwise loops. At 512 KB a float64 temporary
-# leaves room in a core's 2 MB L2, and freed ones are not trimmed off the heap
-# and page-faulted back in by the next step, as 1 << 18's 2 MB ones were.
-# 1 << 15 measured the same as 1 << 16; 1 << 17 was slower.
+# Elements per step of the elementwise loops. A 512 KB float64 chunk buffer
+# leaves room in a core's 2 MB L2. 1 << 15 measured the same as 1 << 16;
+# 1 << 17 was slower.
 CHUNK_ELEMS = 1 << 16
 
 
@@ -64,6 +66,10 @@ class IoFailure(ToolError):
     pass
 
 
+class Overflow(ToolError):
+    """A finite value is too large for the dtype it is encoded to."""
+
+
 class DType(Enum):
     """Element type of a tensor payload."""
 
@@ -74,10 +80,16 @@ class DType(Enum):
 
     @property
     def itemsize(self) -> int:
-        return _ITEMSIZE[self]
+        return _WIRE[self].itemsize
 
 
-_ITEMSIZE = {DType.F32: 4, DType.F16: 2, DType.BF16: 2, DType.F8_E4M3: 1}
+# How each dtype's payload is viewed: BF16 as its raw 16-bit patterns.
+_WIRE = {DType.F32: np.dtype("<f4"), DType.F16: np.dtype("<f2"),
+         DType.BF16: np.dtype("<u2"), DType.F8_E4M3: np.dtype(np.uint8)}
+# The least float32 magnitude that F32 and BF16 encode as infinity: BF16
+# rounds bit patterns from 0x7F7F8000 up to 0x7F80, its infinity.
+_INF_FROM = {DType.F32: np.float32(np.inf),
+             DType.BF16: np.array(0x7F7F8000, dtype=np.uint32).view(np.float32)[()]}
 
 
 @dataclass(frozen=True)
@@ -115,6 +127,13 @@ class Tensor(TensorInfo):
                 f"for {self.dtype.value} {list(self.shape)}"
             )
 
+    def pieces(self) -> Iterator[memoryview]:
+        """The payload CHUNK_ELEMS elements at a time, as views of it."""
+        view = memoryview(self.data)
+        step = CHUNK_ELEMS * self.dtype.itemsize
+        for start in range(0, len(view), step):
+            yield view[start : start + step]
+
 
 @dataclass
 class Checkpoint:
@@ -127,34 +146,52 @@ class Checkpoint:
         """The named tensor, as CheckpointFile.read gives it from a file."""
         return self.tensors[name]
 
+    def pieces(self, name: str, buf: np.ndarray) -> Iterator[memoryview]:
+        """The named payload chunk by chunk, as CheckpointFile.pieces gives
+        it; views of the tensor leave ``buf`` unused."""
+        return self.tensors[name].pieces()
+
+
+# A tensor's payload as a TensorStream produces it: whole, or in pieces.
+Payload = Union[Tensor, Iterable[memoryview]]
+
 
 @dataclass
 class TensorStream:
     """A checkpoint produced one tensor at a time.
 
     ``tensors`` gives every output tensor's dtype and shape before any payload
-    exists; ``payloads`` yields the tensors themselves in sorted-name order.
+    exists; ``payloads`` yields the payloads in sorted-name order, each a
+    whole Tensor or an iterable of byte pieces. A piece may be a view of a
+    buffer its producer reuses, so it is valid only until the next is taken.
     """
 
     tensors: dict[str, TensorInfo]
     metadata: dict[str, str]
-    payloads: Iterator[Tensor]
+    payloads: Iterator[Payload]
 
-    def items(self) -> Iterator[tuple[str, Tensor]]:
-        """Pull (name, tensor) pairs in sorted-name order, each checked
-        against the dtype and shape announced for it."""
+    def items(self) -> Iterator[tuple[str, Iterator[memoryview]]]:
+        """Pull (name, pieces) pairs in sorted-name order. Take each tensor's
+        pieces before the next pair; once the last is taken, ValueError if
+        they do not add up to the bytes announced for the tensor."""
         for name in sorted(self.tensors):
-            tensor = next(self.payloads)
-            info = self.tensors[name]
-            if (tensor.dtype, tensor.shape) != (info.dtype, info.shape):
-                raise ValueError(
-                    f"{name!r}: produced {tensor.dtype.value} {list(tensor.shape)}, "
-                    f"announced {info.dtype.value} {list(info.shape)}"
-                )
-            yield name, tensor
+            yield name, _counted(name, self.tensors[name].nbytes, next(self.payloads))
 
     def collect(self) -> Checkpoint:
-        return Checkpoint(tensors=dict(self.items()), metadata=dict(self.metadata))
+        tensors = {}
+        for name, pieces in self.items():
+            info = self.tensors[name]
+            tensors[name] = Tensor(info.dtype, info.shape, b"".join(map(bytes, pieces)))
+        return Checkpoint(tensors=tensors, metadata=dict(self.metadata))
+
+
+def _counted(name: str, nbytes: int, payload: Payload) -> Iterator[memoryview]:
+    total = 0
+    for piece in [payload.data] if isinstance(payload, Tensor) else payload:
+        total += memoryview(piece).nbytes
+        yield piece
+    if total != nbytes:
+        raise ValueError(f"{name!r}: produced {total} bytes, announced {nbytes}")
 
 
 def chunks(n: int) -> Iterator[slice]:
@@ -163,70 +200,113 @@ def chunks(n: int) -> Iterator[slice]:
         yield slice(start, start + CHUNK_ELEMS)
 
 
-@np.errstate(invalid="ignore")  # a signalling NaN widens to NaN; that is no error
-def _decode(buf, dtype: DType) -> np.ndarray:
-    if dtype is DType.F32:
-        return np.frombuffer(buf, dtype="<f4").astype(np.float64)
-    if dtype is DType.F16:
-        return np.frombuffer(buf, dtype="<f2").astype(np.float64)
-    if dtype is DType.BF16:
-        bits = np.frombuffer(buf, dtype="<u2").astype(np.uint32) << 16
-        return bits.view(np.float32).astype(np.float64)
-    if dtype is DType.F8_E4M3:
-        return fp8.decode_array(np.frombuffer(buf, dtype=np.uint8))
-    raise UnsupportedDType(str(dtype))
+class Codec:
+    """Decodes payload pieces to float64 and encodes float64 back to payload
+    bytes, up to CHUNK_ELEMS elements per call, in buffers allocated once.
+
+    Every step writes into those buffers, so no call allocates an array: a
+    freed chunk-sized temporary would come back as a fresh mmap, page-faulted
+    in again on every chunk. A result is a view of a buffer that the next call
+    of the same method overwrites. ``raw`` is for reading pieces into.
+    """
+
+    def __init__(self) -> None:
+        n = CHUNK_ELEMS
+        self.raw = np.empty(4 * n, dtype=np.uint8)
+        self._values = np.empty(n)
+        self._f64 = np.empty(n)
+        self._f32 = np.empty(n, dtype=np.float32)
+        self._u32 = np.empty(n, dtype=np.uint32)
+        self._index = np.empty(n, dtype=np.intp)
+        self._bytes = np.empty(4 * n, dtype=np.uint8)
+        self._fp8 = fp8.encode_scratch(n)
+
+    def lookup(self, table: np.ndarray, codes: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """table[codes] into ``out`` for uint8 codes and a 256-entry table."""
+        # np.take copies uint8 indices to intp, and in its default mode="raise"
+        # it buffers ``out`` as well; "clip" cannot clip a byte's index.
+        index = self._index[: codes.size]
+        np.copyto(index, codes)
+        return np.take(table, index, out=out, mode="clip")
+
+    @np.errstate(invalid="ignore")  # a signalling NaN widens to NaN; that is no error
+    def decode(self, piece, dtype: DType, out: np.ndarray | None = None) -> np.ndarray:
+        """A payload piece's values at float64, NaNs preserved, in ``out`` or
+        in this codec's own buffer."""
+        wire = np.frombuffer(piece, dtype=_WIRE[dtype])
+        values = (self._values if out is None else out)[: wire.size]
+        if dtype is DType.F8_E4M3:
+            self.lookup(fp8.DECODE_TABLE, wire, values)
+        elif dtype is DType.BF16:
+            bits = self._u32[: wire.size]
+            np.copyto(bits, wire)
+            bits <<= 16
+            np.copyto(values, bits.view(np.float32))
+        else:
+            np.copyto(values, wire)
+        return values
+
+    def encode(self, values: np.ndarray, dtype: DType) -> memoryview:
+        """The payload bytes of float64 ``values`` as ``dtype``.
+
+        F32/F16 use the hardware round-to-nearest-even conversion, BF16 rounds
+        the float32 bit pattern to nearest-even, F8 goes through the 8-bit
+        codec. F16 saturates at its largest finite magnitude; a finite value
+        that F32 or BF16 would turn into infinity raises Overflow.
+        """
+        n = values.size
+        out = self._bytes[: n * dtype.itemsize]
+        if dtype is DType.F8_E4M3:
+            fp8.encode_array(values, out=out, scratch=self._fp8)
+        elif dtype is DType.F16:
+            np.copyto(out.view("<f2"), np.clip(values, -65504.0, 65504.0, out=self._f64[:n]))
+        else:
+            f32 = out.view("<f4") if dtype is DType.F32 else self._f32[:n]
+            with np.errstate(over="ignore"):
+                np.copyto(f32, values, casting="same_kind")
+            if dtype is DType.BF16:
+                bits = f32.view(np.uint32)
+                rounded = np.right_shift(bits, 16, out=self._u32[:n])
+                rounded &= 1
+                rounded += bits
+                rounded += 0x7FFF
+                rounded >>= 16
+                np.copyto(out.view("<u2"), rounded, casting="unsafe")
+            limit = _INF_FROM[dtype]
+            if not -limit < f32.min() <= f32.max() < limit:  # a NaN, infinity or overflow
+                self._non_finite(values, f32, out, dtype)
+        return out.data
+
+    @staticmethod
+    def _non_finite(values, f32, out, dtype: DType) -> None:
+        # Rare, so it may allocate.
+        overflowed = np.isfinite(values) & ~(np.abs(f32) < _INF_FROM[dtype])
+        if overflowed.any():
+            raise Overflow(f"{values[overflowed][0]:.6g} is finite but overflows {dtype.value}")
+        if dtype is DType.BF16:  # a NaN keeps its top bits, made quiet
+            nan = np.isnan(f32)
+            np.copyto(out.view("<u2"), (f32.view(np.uint32) >> 16) | 0x40, casting="unsafe",
+                      where=nan)
 
 
 def tensor_as_f64(t: Tensor) -> np.ndarray:
     """Decode a tensor's payload to a flat float64 array, NaNs preserved."""
     out = np.empty(t.numel, dtype=np.float64)
-    for s, values in zip(chunks(t.numel), f64_chunks(t)):
-        out[s] = values
+    codec = Codec()
+    for s, piece in zip(chunks(t.numel), t.pieces()):
+        codec.decode(piece, t.dtype, out=out[s])
     return out
 
 
-def f64_chunks(t: Tensor) -> Iterator[np.ndarray]:
-    """Decode a tensor to float64 CHUNK_ELEMS elements at a time, in order."""
-    view = memoryview(t.data)
-    step = CHUNK_ELEMS * t.dtype.itemsize
-    for start in range(0, len(view), step):
-        yield _decode(view[start : start + step], t.dtype)
-
-
-def _encode(flat: np.ndarray, dtype: DType) -> np.ndarray:
-    if dtype is DType.F32:
-        return flat.astype("<f4")
-    if dtype is DType.F16:
-        return np.clip(flat, -65504.0, 65504.0).astype("<f2")
-    if dtype is DType.BF16:
-        f32 = flat.astype(np.float32)
-        bits = f32.view(np.uint32)
-        rounded = (bits + 0x7FFF + ((bits >> 16) & 1)) >> 16
-        top = bits >> 16
-        nan = np.isnan(f32)
-        return np.where(nan, top | 0x0040, rounded).astype("<u2")
-    if dtype is DType.F8_E4M3:
-        return fp8.encode_array(flat)
-    raise UnsupportedDType(str(dtype))
-
-
 def tensor_from_f64(values: np.ndarray, dtype: DType, shape: tuple[int, ...]) -> Tensor:
-    """Encode a flat float64 array into a tensor payload of the given dtype.
-
-    F32/F16 use the hardware round-to-nearest-even conversion, BF16 rounds the
-    float32 bit pattern to nearest-even, F8 goes through the 8-bit codec. F16
-    saturates at its largest finite magnitude rather than producing infinity.
-    Encoding runs a chunk at a time into the output buffer.
-    """
+    """Encode a flat float64 array into a tensor payload of the given dtype,
+    a chunk at a time (see Codec.encode)."""
     flat = np.asarray(values, dtype=np.float64).reshape(-1)
     if flat.size != math.prod(shape):
         raise ValueError(f"{flat.size} values cannot fill shape {list(shape)}")
-    width = dtype.itemsize
-    out = np.empty(flat.size * width, dtype=np.uint8)
-    for s in chunks(flat.size):
-        encoded = _encode(flat[s], dtype).view(np.uint8)
-        out[s.start * width : s.start * width + encoded.size] = encoded
-    return Tensor(dtype, tuple(shape), out.tobytes())
+    codec = Codec()
+    data = b"".join(bytes(codec.encode(flat[s], dtype)) for s in chunks(flat.size))
+    return Tensor(dtype, tuple(shape), data)
 
 
 def _parse_header(blob: bytes) -> dict:
@@ -239,20 +319,26 @@ def _parse_header(blob: bytes) -> dict:
     return header
 
 
-def _pread(fd: int, n: int, offset: int, path) -> bytes:
-    """Read exactly n bytes at offset; a file that ends early is an IoFailure."""
-    parts = []
-    while n > 0:
+def _pread_into(fd: int, view: memoryview, offset: int, path) -> None:
+    """Fill ``view`` with the bytes at offset, looping over short reads; a file
+    that ends early is an IoFailure."""
+    done = 0
+    while done < len(view):
         try:
-            part = os.pread(fd, n, offset)
+            got = os.preadv(fd, [view[done:]], offset + done)
         except OSError as exc:
             raise IoFailure(f"cannot read {path}: {exc}") from exc
-        if not part:
-            raise IoFailure(f"{path} ends {n} bytes short of byte {offset + n}")
-        parts.append(part)
-        n -= len(part)
-        offset += len(part)
-    return parts[0] if len(parts) == 1 else b"".join(parts)
+        if not got:
+            raise IoFailure(
+                f"{path} ends {len(view) - done} bytes short of byte {offset + len(view)}")
+        done += got
+
+
+def _pread(fd: int, n: int, offset: int, path) -> bytearray:
+    """Exactly n bytes at offset (see _pread_into)."""
+    buf = bytearray(n)
+    _pread_into(fd, memoryview(buf), offset, path)
+    return buf
 
 
 @dataclass
@@ -261,7 +347,8 @@ class CheckpointFile:
 
     ``tensors`` maps each name to its dtype and shape in header order, and
     ``offsets`` to where its payload starts in the file; ``read`` fetches one
-    payload. Close it, or use it as a context manager, to release ``fd``.
+    payload whole and ``pieces`` chunk by chunk. Close it, or use it as a
+    context manager, to release ``fd``.
     """
 
     path: str | Path
@@ -273,7 +360,18 @@ class CheckpointFile:
     def read(self, name: str) -> Tensor:
         info = self.tensors[name]
         data = _pread(self.fd, info.nbytes, self.offsets[name], self.path)
-        return Tensor(info.dtype, info.shape, data)
+        return Tensor(info.dtype, info.shape, bytes(data))
+
+    def pieces(self, name: str, buf: np.ndarray) -> Iterator[memoryview]:
+        """The named payload CHUNK_ELEMS elements at a time, each read into
+        ``buf`` (Codec.raw), so a piece is valid only until the next is taken."""
+        info = self.tensors[name]
+        step = CHUNK_ELEMS * info.dtype.itemsize
+        view = memoryview(buf)
+        for start in range(0, info.nbytes, step):
+            piece = view[: min(step, info.nbytes - start)]
+            _pread_into(self.fd, piece, self.offsets[name] + start, self.path)
+            yield piece
 
     def close(self) -> None:
         if self.fd >= 0:
@@ -395,8 +493,9 @@ def write_checkpoint(ckpt: Checkpoint | TensorStream, path: str | Path) -> None:
     """Serialize a checkpoint; rereading the file yields an equal checkpoint.
 
     The file is written as ``<path>.tmp`` beside its destination and renamed
-    over ``path`` only when complete. If writing fails, or producing a payload
-    raises, neither the temp file nor a partial ``path`` is left behind.
+    over ``path`` only when complete. Payload pieces are written as they are
+    produced. If writing fails, or producing a payload raises, neither the
+    temp file nor a partial ``path`` is left behind.
     """
     if isinstance(ckpt, Checkpoint):
         tensors = ckpt.tensors
@@ -428,8 +527,9 @@ def write_checkpoint(ckpt: Checkpoint | TensorStream, path: str | Path) -> None:
             with open(tmp, "wb") as fh:
                 fh.write(struct.pack("<Q", len(header_bytes)))
                 fh.write(header_bytes)
-                for _, tensor in ckpt.items():
-                    fh.write(tensor.data)
+                for _, pieces in ckpt.items():
+                    for piece in pieces:
+                        fh.write(piece)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):

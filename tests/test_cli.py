@@ -121,6 +121,34 @@ def test_quantize_names_the_tensor_that_is_not_finite(tmp_path, rng, caplog):
     assert not out.with_name(out.name + ".tmp").exists()
 
 
+@pytest.mark.parametrize("dtype", [DType.F32, DType.BF16], ids=lambda d: d.value)
+def test_merge_that_overflows_its_output_dtype_names_the_tensor_and_writes_nothing(
+        tmp_path, rng, caplog, dtype):
+    # Near-orthogonal vectors: at t=0.5 the first element is 0.707 * 6e38.
+    a, b = tmp_path / "a.safetensors", tmp_path / "b.safetensors"
+    tio.write_checkpoint(Checkpoint(tensors={
+        "ok": tensor_from_f64(rng.normal(size=4), dtype, (4,)),
+        "w": tensor_from_f64(np.array([3e38, 3e38, 1.0]), dtype, (3,))}), a)
+    tio.write_checkpoint(Checkpoint(tensors={
+        "ok": tensor_from_f64(rng.normal(size=4), dtype, (4,)),
+        "w": tensor_from_f64(np.array([3e38, -3e38, 2.0]), dtype, (3,))}), b)
+    out = tmp_path / "merged.safetensors"
+    assert run_cli(["merge", "--a", str(a), "--b", str(b), "--out", str(out), "--t", "0.5"]) == 1
+    assert "'w': 4.2" in caplog.text and f"is finite but overflows {dtype.value}" in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == [a.name, b.name]
+
+
+def test_merge_to_f16_saturates(tmp_path):
+    a, b = tmp_path / "a.safetensors", tmp_path / "b.safetensors"
+    tio.write_checkpoint(Checkpoint(tensors={
+        "w": tensor_from_f64(np.array([6e4, 6e4, 1.0]), DType.F16, (3,))}), a)
+    tio.write_checkpoint(Checkpoint(tensors={
+        "w": tensor_from_f64(np.array([6e4, -6e4, 2.0]), DType.F16, (3,))}), b)
+    out = tmp_path / "merged.safetensors"
+    assert run_cli(["merge", "--a", str(a), "--b", str(b), "--out", str(out), "--t", "0.5"]) == 0
+    assert tio.tensor_as_f64(tio.read_checkpoint(out).tensors["w"])[0] == 65504.0
+
+
 def test_quantize_in_place_matches_a_separate_output(tmp_path, rng, capsys):
     src = tmp_path / "model.safetensors"
     _write_checkpoint(src, rng)

@@ -1,6 +1,6 @@
-"""Peak memory of ``mtpipe merge`` and ``mtpipe quantize`` is bounded by the
-largest tensor, not by the size of the checkpoints, and a resumed JobState
-holds each reply once."""
+"""Peak memory of ``mtpipe merge`` and ``mtpipe quantize`` is bounded by a
+chunk, not by the size of the checkpoints or of their largest tensor, and a
+resumed JobState holds each reply once."""
 
 from __future__ import annotations
 
@@ -31,6 +31,9 @@ import sys
 from mtpipe.cli import main
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 """ + PRINT_VMHWM + "sys.exit(code)\n"
+# The baseline for a one-tensor checkpoint also loads numpy and the checkpoint
+# modules, which the small-tensor tests leave in their allowance.
+LOADED_CHILD = "import mtpipe.merge, mtpipe.quant\n" + CHILD
 # Resumes the JobState named by its argument, if any.
 LOAD_CHILD = """
 import sys
@@ -96,3 +99,30 @@ def test_resume_peak_memory_grows_by_less_than_one_and_a_half_journals(tmp_path)
     baseline = _peak_bytes([], tmp_path, LOAD_CHILD)
     peak = _peak_bytes([str(state_path)], tmp_path, LOAD_CHILD)
     assert peak - baseline < 1.5 * journal.stat().st_size
+
+
+BIG_ELEMS = 8 << 20  # one float32 tensor of 32 MB
+
+
+def _write_big(path: Path, seed: int) -> None:
+    values = np.random.default_rng(seed).standard_normal(BIG_ELEMS).astype("<f4")
+    tio.write_checkpoint(tio.Checkpoint(
+        {"big": tio.Tensor(tio.DType.F32, (BIG_ELEMS,), values.tobytes())}), path)
+
+
+def test_merge_and_quantize_of_one_big_tensor_grow_by_less_than_a_quarter_input(tmp_path):
+    a, b = tmp_path / "a.safetensors", tmp_path / "b.safetensors"
+    _write_big(a, 1)
+    _write_big(b, 2)
+    baseline = _peak_bytes([], tmp_path, LOADED_CHILD)
+    merge = _peak_bytes(["merge", "--a", str(a), "--b", str(b), "--out", "m.safetensors"],
+                        tmp_path, LOADED_CHILD)
+    quantize = _peak_bytes(["quantize", "--in", str(a), "--out", "q.safetensors"],
+                           tmp_path, LOADED_CHILD)
+    with tio.open_checkpoint(tmp_path / "m.safetensors") as merged:
+        assert merged.tensors == {"big": tio.TensorInfo(tio.DType.F32, (BIG_ELEMS,))}
+    with tio.open_checkpoint(tmp_path / "q.safetensors") as quantized:
+        assert set(quantized.tensors) == {"big", "big.scale"}
+    quarter = a.stat().st_size / 4
+    assert merge - baseline < quarter, (merge - baseline) / 2**20
+    assert quantize - baseline < quarter, (quantize - baseline) / 2**20

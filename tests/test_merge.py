@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -88,7 +90,13 @@ def test_chunked_slerp_matches_whole_array_numpy_across_chunk_boundaries(rng, n)
     a = rng.standard_normal(n)
     b = a + 0.5 * rng.standard_normal(n)
     t = 0.3
-    omega = np.arccos(np.clip(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)), -1, 1))
+
+    def fixed_order_dot(x, y):  # pairwise within each chunk, exactly rounded across them
+        return math.fsum(np.add.reduce(x[i : i + CHUNK_ELEMS] * y[i : i + CHUNK_ELEMS])
+                         for i in range(0, n, CHUNK_ELEMS))
+
+    norms = np.sqrt(fixed_order_dot(a, a)) * np.sqrt(fixed_order_dot(b, b))
+    omega = np.arccos(np.clip(fixed_order_dot(a, b) / norms, -1, 1))
     expected = np.sin((1 - t) * omega) / np.sin(omega) * a + np.sin(t * omega) / np.sin(omega) * b
     assert merge.slerp_vec(a, b, t).tobytes() == expected.tobytes()
     out = a.copy()

@@ -84,6 +84,26 @@ def test_damage_before_the_recorded_position_is_state_corrupt(tmp_path):
     assert path.read_bytes() == meta
 
 
+@pytest.mark.parametrize("entry", [b'{"i": 0, "text": 5}', b'{"i": true, "text": "x"}',
+                                   b'{"i": 1.0, "text": "x"}', b'{"i": "1", "text": "x"}'],
+                         ids=["text-int", "i-bool", "i-float", "i-str"])
+def test_an_ill_typed_entry_is_damage(tmp_path, entry):
+    path = tmp_path / "job.state"
+    journal = path.with_name(path.name + ".journal")
+    with JobState(path, "fp") as state:
+        state.record(0, "ok")
+    with open(journal, "ab") as fh:
+        fh.write(entry + b"\n")
+    with JobState(path, "fp") as state:  # past the recorded position: a torn tail
+        assert state.completed == {0: "ok"}
+    assert journal.read_bytes() == b'{"i": 0, "text": "ok"}\n'
+
+    journal.write_bytes(entry + b"\n" + journal.read_bytes())
+    path.write_text(json.dumps({"fingerprint": "fp", "journal_pos": journal.stat().st_size}))
+    with pytest.raises(StateCorrupt, match="damaged before its recorded position"):
+        JobState(path, "fp")
+
+
 def test_state_file_is_json_with_counts(tmp_path):
     path = tmp_path / "job.state"
     with JobState(path, "fp") as state:
