@@ -121,18 +121,20 @@ def _fsum(parts: list) -> float:
 def slerp_coefficients(aa: float, bb: float, ab: float, t: float,
                        eps: float) -> tuple[float, float]:
     """The weights of a and b in slerp at t, from dot_products(a, b): those
-    of a lerp when either vector is zero or sin of their angle is below eps."""
+    of a lerp when either vector is zero or sin of their angle is below eps.
+    Its acos and sin are the C library's, not numpy's loops chosen per CPU."""
     coeff_a, coeff_b = 1.0 - t, t
     norm_a, norm_b = math.sqrt(aa), math.sqrt(bb)
     if norm_a != 0.0 and norm_b != 0.0:
-        cos_omega = float(np.clip(np.float64(ab) / (norm_a * norm_b), -1.0, 1.0))
-        omega = float(np.arccos(cos_omega))
-        sin_omega = float(np.sin(omega))
+        # A NaN product clamps to 1: sin(omega) is then 0, below eps, a lerp.
+        cos_omega = max(-1.0, min(1.0, ab / (norm_a * norm_b)))
+        omega = math.acos(cos_omega)
+        sin_omega = math.sin(omega)
         if sin_omega >= eps:
             # Scalar coefficients first: at t=0 the pair is exactly (1, 0), so
             # the endpoint identities hold bitwise.
-            coeff_a = float(np.sin((1.0 - t) * omega)) / sin_omega
-            coeff_b = float(np.sin(t * omega)) / sin_omega
+            coeff_a = math.sin((1.0 - t) * omega) / sin_omega
+            coeff_b = math.sin(t * omega) / sin_omega
     return coeff_a, coeff_b
 
 
@@ -152,8 +154,8 @@ def _output_dtype(da: DType, db: DType) -> DType:
 def merge_stream(x, y, spec: MergeSpec) -> TensorStream:
     """Merge two checkpoints one tensor, and one chunk of it, at a time.
 
-    ``x`` and ``y`` are Checkpoints or open CheckpointFiles. Every check that
-    needs no payload (missing names, shapes, scales) runs before this
+    ``x`` and ``y`` are Checkpoints or open CheckpointFiles. Every check on
+    missing names, shapes and scale values runs before this
     returns. Matching tensors must agree on shape; 8-bit ones are
     dequantized by their scales and merge to float32 without a ``.scale``.
     Each pair takes two passes over its payload chunks: the first sums the
@@ -176,15 +178,17 @@ def merge_stream(x, y, spec: MergeSpec) -> TensorStream:
             src, scale_name = (x, wx[name]) if name in wx else (y, wy[name])
             if scale_name in names:
                 raise NameCollision(f"output name {scale_name!r} produced twice")
+            read_scale(src, scale_name)  # a scale copied verbatim must be valid too
             for copied in filter(None, (name, scale_name)):
                 infos[copied] = src.tensors[copied]
-                producers[copied] = partial(src.pieces, copied, cx.raw)
+                producers[copied] = partial(src.pieces, copied)
             continue
         ix, iy = x.tensors[name], y.tensors[name]
         if ix.shape != iy.shape:
             raise ShapeMismatch(f"{name!r}: {list(ix.shape)} vs {list(iy.shape)}")
         infos[name] = TensorInfo(_output_dtype(ix.dtype, iy.dtype), ix.shape)
-        sides = partial(_values, x, name, wx[name], cx), partial(_values, y, name, wy[name], cy)
+        sx, sy = read_scale(x, wx[name]), read_scale(y, wy[name])
+        sides = partial(_values, x, name, sx, cx), partial(_values, y, name, sy, cy)
         producers[name] = partial(_merged, name, *sides, cx, infos[name].dtype, spec, scratch)
 
     metadata = dict(x.metadata)
@@ -193,13 +197,13 @@ def merge_stream(x, y, spec: MergeSpec) -> TensorStream:
     return TensorStream(infos, metadata, (producers[n]() for n in sorted(producers)))
 
 
-def _values(src, name: str, companion: str | None, codec: Codec) -> Iterator[np.ndarray]:
-    """A tensor's values at float64, times its companion's scale if it has
-    one, a chunk at a time in ``codec``'s buffer."""
-    dtype, scale = src.tensors[name].dtype, read_scale(src, companion)
-    for piece in src.pieces(name, codec.raw):
+def _values(src, name: str, scale: float, codec: Codec) -> Iterator[np.ndarray]:
+    """A tensor's values at float64 times its scale, a chunk at a time in
+    ``codec``'s buffer."""
+    dtype = src.tensors[name].dtype
+    for piece in src.pieces(name):
         values = codec.decode(piece, dtype)
-        if companion is not None:
+        if scale != 1.0:
             values *= scale
         yield values
 

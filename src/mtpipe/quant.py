@@ -38,6 +38,10 @@ class NameCollision(ToolError):
     pass
 
 
+class BadScale(ToolError):
+    """A ``.scale`` companion that is not a finite, positive number."""
+
+
 @dataclass(frozen=True)
 class QuantizedTensor:
     """8-bit codes plus the positive float32 scale that dequantizes them."""
@@ -85,10 +89,6 @@ def dequantize_fp8(q: QuantizedTensor) -> Tensor:
     return Tensor(DType.F32, q.codes.shape, values.tobytes())
 
 
-def _scale_tensor(scale: float) -> Tensor:
-    return Tensor(DType.F32, (), np.float32(scale).tobytes())
-
-
 def scale_companions(src) -> dict[str, str | None]:
     """Each tensor of ``src`` but the ``<name>.scale`` companions, mapped to
     its companion or None. Only an 8-bit tensor has one, and it must hold one
@@ -106,10 +106,15 @@ def scale_companions(src) -> dict[str, str | None]:
 
 
 def read_scale(src, companion: str | None) -> float:
-    """The scale a companion from scale_companions holds; 1.0 for None."""
+    """The finite, positive scale a companion from scale_companions holds
+    (BadScale otherwise); 1.0 for None."""
     if companion is None:
         return 1.0
-    return float(np.frombuffer(src.read(companion).data, dtype="<f4")[0])
+    (piece,) = src.pieces(companion)
+    scale = float(np.frombuffer(piece, dtype="<f4")[0])
+    if not (scale > 0 and np.isfinite(scale)):
+        raise BadScale(f"{companion!r} holds {scale!r}; a scale must be finite and positive")
+    return scale
 
 
 @dataclass(frozen=True)
@@ -123,23 +128,6 @@ class TensorAudit:
     skipped: bool = False
 
 
-def audit_tensor(name: str, original: Tensor, q: QuantizedTensor | None) -> TensorAudit:
-    """Audit one tensor's dequantization error; ``q`` is None when it was skipped.
-
-    ``max_rel_err`` is taken over elements at or above ``scale * 2**-6``
-    (the smallest normal magnitude); smaller elements see absolute rather
-    than relative rounding and are excluded. Runs a chunk at a time.
-    """
-    if q is not None and q.codes.shape != original.shape:
-        raise ShapeMismatch(f"{name!r}: codes {list(q.codes.shape)}, "
-                            f"original {list(original.shape)}")
-    scale, codes = (None, None) if q is None else (q.scale, q.codes.pieces())
-    audits: dict[str, TensorAudit] = {}
-    for _ in _Kernels().audited(name, original.dtype, original.pieces(), scale, codes, audits):
-        pass
-    return audits[name]
-
-
 class _Kernels:
     """The chunk buffers of one quantize or audit stream. Decoding, scaling,
     encoding and auditing all write into them, so no chunk allocates."""
@@ -148,14 +136,6 @@ class _Kernels:
         self.codec = Codec()
         self._scaled, self._magnitude, self._restored = np.empty((3, CHUNK_ELEMS))
         self._mask = np.empty(CHUNK_ELEMS, dtype=np.bool_)
-
-    def amax(self, dtype: DType, pieces: Iterable) -> float:
-        """max |v| over a payload; NaN if a value is NaN."""
-        amax = 0.0
-        for piece in pieces:
-            values = self.codec.decode(piece, dtype)
-            amax = np.maximum(amax, np.abs(values, out=self._magnitude[: values.size]).max())
-        return float(amax)
 
     def audited(self, name: str, dtype: DType, pieces: Iterable, scale: float | None,
                 codes: Iterator | None, audits: dict[str, TensorAudit]) -> Iterator:
@@ -223,25 +203,27 @@ def quantize_stream(src, policy: QuantPolicy) -> tuple[TensorStream, dict[str, T
 
     audits: dict[str, TensorAudit] = {}
 
-    def payloads() -> Iterator[Tensor | Iterator]:
+    def payloads() -> Iterator[Iterable]:
         k = _Kernels()
         scales: dict[str, float] = {}
         # Sorted order puts every name before its own ``.scale``.
         for name in sorted(infos):
             if name in scale_names:
-                yield _scale_tensor(scales.pop(scale_names[name]))
+                yield [np.float32(scales.pop(scale_names[name])).tobytes()]
                 continue
             dtype = src.tensors[name].dtype
             scale = None
             if not policy.skips(name):
-                # Pass 1: max|v| alone sets the scale, and it is NaN or
-                # infinite iff a value is.
-                amax = k.amax(dtype, src.pieces(name, k.codec.raw))
+                # Pass 1, the audit of a skipped tensor: its amax alone sets
+                # the scale, and it is NaN or infinite iff a value is.
+                first: dict[str, TensorAudit] = {}
+                for _ in k.audited(name, dtype, src.pieces(name), None, None, first):
+                    pass
                 try:
-                    scale = scales[name] = float(np.float32(compute_scale((amax,))))
+                    scale = scales[name] = float(np.float32(compute_scale((first[name].amax,))))
                 except fp8.NonFiniteInput as exc:
                     raise fp8.NonFiniteInput(f"{name!r}: {exc}") from exc
-            yield k.audited(name, dtype, src.pieces(name, k.codec.raw), scale, None, audits)
+            yield k.audited(name, dtype, src.pieces(name), scale, None, audits)
 
     metadata = dict(src.metadata)
     metadata["quantization"] = "fp8-e4m3-dynamic"
@@ -259,13 +241,21 @@ def quantize_checkpoint(ckpt: Checkpoint, policy: QuantPolicy) -> Checkpoint:
 def validate_quantization(
     original: Checkpoint, quantized: Checkpoint, policy: QuantPolicy
 ) -> list[TensorAudit]:
-    """Audit dequantization error tensor by tensor (see audit_tensor)."""
+    """Audit dequantization error tensor by tensor, a chunk at a time; a
+    tensor the policy skips has only its amax audited. ``max_rel_err`` is
+    taken over elements at or above ``scale * 2**-6`` (the smallest normal
+    magnitude); smaller ones see absolute, not relative, rounding."""
     companions = scale_companions(quantized)
-    audits: list[TensorAudit] = []
+    k = _Kernels()
+    audits: dict[str, TensorAudit] = {}
     for name, t in original.tensors.items():
-        q = None
+        scale = codes = None
         if not policy.skips(name):
-            scale = read_scale(quantized, companions[name])
-            q = QuantizedTensor(quantized.tensors[name], scale)
-        audits.append(audit_tensor(name, t, q))
-    return audits
+            q = QuantizedTensor(quantized.tensors[name], read_scale(quantized, companions[name]))
+            if q.codes.shape != t.shape:
+                raise ShapeMismatch(f"{name!r}: codes {list(q.codes.shape)}, "
+                                    f"original {list(t.shape)}")
+            scale, codes = q.scale, q.codes.pieces()
+        for _ in k.audited(name, t.dtype, t.pieces(), scale, codes, audits):
+            pass
+    return list(audits.values())

@@ -8,12 +8,13 @@ serialized with names in sorted order and payloads packed in that same order,
 so two writes of the same checkpoint are byte-identical.
 
 Both directions work one chunk of CHUNK_ELEMS elements at a time, so memory
-is bounded by a chunk, not by the largest tensor. ``open_checkpoint``
-validates the header, and ``CheckpointFile.pieces`` reads a payload chunk by
-chunk into one reused buffer. ``write_checkpoint`` builds the header from
-dtypes and shapes alone, then writes each tensor's payload pieces as a
-``TensorStream`` produces them. ``Codec`` decodes pieces to float64 and
-encodes float64 back into buffers it allocates once.
+is bounded by a chunk, not by the largest tensor. A source, a ``Checkpoint``
+or the ``CheckpointFile`` that ``open_checkpoint`` validates, offers
+``tensors``, ``metadata`` and ``pieces(name)``: a payload chunk by chunk.
+``write_checkpoint`` builds the header from dtypes and shapes alone, then
+writes each tensor's payload pieces as a ``TensorStream`` produces them.
+``Codec`` decodes pieces to float64 and encodes float64 back into buffers it
+allocates once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -142,18 +143,9 @@ class Checkpoint:
     tensors: dict[str, Tensor] = field(default_factory=dict)
     metadata: dict[str, str] = field(default_factory=dict)
 
-    def read(self, name: str) -> Tensor:
-        """The named tensor, as CheckpointFile.read gives it from a file."""
-        return self.tensors[name]
-
-    def pieces(self, name: str, buf: np.ndarray) -> Iterator[memoryview]:
-        """The named payload chunk by chunk, as CheckpointFile.pieces gives
-        it; views of the tensor leave ``buf`` unused."""
+    def pieces(self, name: str) -> Iterator[memoryview]:
+        """The named payload chunk by chunk, as CheckpointFile.pieces gives it."""
         return self.tensors[name].pieces()
-
-
-# A tensor's payload as a TensorStream produces it: whole, or in pieces.
-Payload = Union[Tensor, Iterable[memoryview]]
 
 
 @dataclass
@@ -161,14 +153,14 @@ class TensorStream:
     """A checkpoint produced one tensor at a time.
 
     ``tensors`` gives every output tensor's dtype and shape before any payload
-    exists; ``payloads`` yields the payloads in sorted-name order, each a
-    whole Tensor or an iterable of byte pieces. A piece may be a view of a
-    buffer its producer reuses, so it is valid only until the next is taken.
+    exists; ``payloads`` yields the payloads in sorted-name order, each an
+    iterable of byte pieces. A piece may be a view of a buffer its producer
+    reuses, so it is valid only until the next is taken.
     """
 
     tensors: dict[str, TensorInfo]
     metadata: dict[str, str]
-    payloads: Iterator[Payload]
+    payloads: Iterator[Iterable]
 
     def items(self) -> Iterator[tuple[str, Iterator[memoryview]]]:
         """Pull (name, pieces) pairs in sorted-name order. Take each tensor's
@@ -185,9 +177,9 @@ class TensorStream:
         return Checkpoint(tensors=tensors, metadata=dict(self.metadata))
 
 
-def _counted(name: str, nbytes: int, payload: Payload) -> Iterator[memoryview]:
+def _counted(name: str, nbytes: int, pieces: Iterable) -> Iterator[memoryview]:
     total = 0
-    for piece in [payload.data] if isinstance(payload, Tensor) else payload:
+    for piece in pieces:
         total += memoryview(piece).nbytes
         yield piece
     if total != nbytes:
@@ -207,12 +199,11 @@ class Codec:
     Every step writes into those buffers, so no call allocates an array: a
     freed chunk-sized temporary would come back as a fresh mmap, page-faulted
     in again on every chunk. A result is a view of a buffer that the next call
-    of the same method overwrites. ``raw`` is for reading pieces into.
+    of the same method overwrites.
     """
 
     def __init__(self) -> None:
         n = CHUNK_ELEMS
-        self.raw = np.empty(4 * n, dtype=np.uint8)
         self._values = np.empty(n)
         self._f64 = np.empty(n)
         self._f32 = np.empty(n, dtype=np.float32)
@@ -230,11 +221,10 @@ class Codec:
         return np.take(table, index, out=out, mode="clip")
 
     @np.errstate(invalid="ignore")  # a signalling NaN widens to NaN; that is no error
-    def decode(self, piece, dtype: DType, out: np.ndarray | None = None) -> np.ndarray:
-        """A payload piece's values at float64, NaNs preserved, in ``out`` or
-        in this codec's own buffer."""
+    def decode(self, piece, dtype: DType) -> np.ndarray:
+        """A payload piece's values at float64, NaNs preserved."""
         wire = np.frombuffer(piece, dtype=_WIRE[dtype])
-        values = (self._values if out is None else out)[: wire.size]
+        values = self._values[: wire.size]
         if dtype is DType.F8_E4M3:
             self.lookup(fp8.DECODE_TABLE, wire, values)
         elif dtype is DType.BF16:
@@ -294,7 +284,7 @@ def tensor_as_f64(t: Tensor) -> np.ndarray:
     out = np.empty(t.numel, dtype=np.float64)
     codec = Codec()
     for s, piece in zip(chunks(t.numel), t.pieces()):
-        codec.decode(piece, t.dtype, out=out[s])
+        out[s] = codec.decode(piece, t.dtype)
     return out
 
 
@@ -346,9 +336,9 @@ class CheckpointFile:
     """An open checkpoint whose header and offset table are validated.
 
     ``tensors`` maps each name to its dtype and shape in header order, and
-    ``offsets`` to where its payload starts in the file; ``read`` fetches one
-    payload whole and ``pieces`` chunk by chunk. Close it, or use it as a
-    context manager, to release ``fd``.
+    ``offsets`` to where its payload starts in the file; ``pieces`` reads
+    them through ``buf``, allocated once. Close it, or use it as a context
+    manager, to release ``fd``.
     """
 
     path: str | Path
@@ -356,18 +346,15 @@ class CheckpointFile:
     tensors: dict[str, TensorInfo]
     offsets: dict[str, int]
     metadata: dict[str, str]
+    buf: bytearray = field(init=False, repr=False,
+                           default_factory=lambda: bytearray(4 * CHUNK_ELEMS))
 
-    def read(self, name: str) -> Tensor:
-        info = self.tensors[name]
-        data = _pread(self.fd, info.nbytes, self.offsets[name], self.path)
-        return Tensor(info.dtype, info.shape, bytes(data))
-
-    def pieces(self, name: str, buf: np.ndarray) -> Iterator[memoryview]:
+    def pieces(self, name: str) -> Iterator[memoryview]:
         """The named payload CHUNK_ELEMS elements at a time, each read into
-        ``buf`` (Codec.raw), so a piece is valid only until the next is taken."""
+        ``buf``, so a piece is valid only until the next is taken from the file."""
         info = self.tensors[name]
         step = CHUNK_ELEMS * info.dtype.itemsize
-        view = memoryview(buf)
+        view = memoryview(self.buf)
         for start in range(0, info.nbytes, step):
             piece = view[: min(step, info.nbytes - start)]
             _pread_into(self.fd, piece, self.offsets[name] + start, self.path)
@@ -483,10 +470,8 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
     or IoFailure; a malformed file never yields a partial checkpoint.
     """
     with open_checkpoint(path) as src:
-        return Checkpoint(
-            tensors={name: src.read(name) for name in src.tensors},
-            metadata=src.metadata,
-        )
+        pieces = (src.pieces(name) for name in sorted(src.tensors))
+        return TensorStream(src.tensors, src.metadata, pieces).collect()
 
 
 def write_checkpoint(ckpt: Checkpoint | TensorStream, path: str | Path) -> None:
@@ -499,7 +484,7 @@ def write_checkpoint(ckpt: Checkpoint | TensorStream, path: str | Path) -> None:
     """
     if isinstance(ckpt, Checkpoint):
         tensors = ckpt.tensors
-        ckpt = TensorStream(tensors, ckpt.metadata, (tensors[n] for n in sorted(tensors)))
+        ckpt = TensorStream(tensors, ckpt.metadata, (tensors[n].pieces() for n in sorted(tensors)))
     for name in ckpt.tensors:
         if not name:
             raise EmptyName("tensor names must be non-empty")

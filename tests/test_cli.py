@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mtpipe import cli, pipeline, tensorio as tio
+from mtpipe import cli, pipeline, quant, tensorio as tio
 from mtpipe.inference import EndpointConfig
 from mtpipe.tensorio import Checkpoint, DType, tensor_from_f64
 
@@ -136,6 +136,28 @@ def test_merge_that_overflows_its_output_dtype_names_the_tensor_and_writes_nothi
     assert run_cli(["merge", "--a", str(a), "--b", str(b), "--out", str(out), "--t", "0.5"]) == 1
     assert "'w': 4.2" in caplog.text and f"is finite but overflows {dtype.value}" in caplog.text
     assert sorted(p.name for p in tmp_path.iterdir()) == [a.name, b.name]
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -2.0])
+def test_a_scale_that_is_not_finite_and_positive_names_its_companion_and_writes_nothing(
+        tmp_path, caplog, scale):
+    codes = tio.Tensor(DType.F8_E4M3, (4,), bytes([0x38, 0x40, 0x30, 0x38]))
+    quantized = Checkpoint(tensors={
+        "w": codes, "w.scale": tio.Tensor(DType.F32, (), np.float32(scale).tobytes())})
+    original = Checkpoint(tensors={"w": tensor_from_f64(np.arange(1.0, 5.0), DType.F32, (4,))})
+    a, b, c = (tmp_path / f"{n}.safetensors" for n in "abc")
+    tio.write_checkpoint(quantized, a)
+    tio.write_checkpoint(original, b)
+    tio.write_checkpoint(Checkpoint(tensors={"v": original.tensors["w"]}), c)
+    out = tmp_path / "merged.safetensors"
+    for other, missing in ((b, "error"), (c, "copy")):
+        caplog.clear()
+        assert run_cli(["merge", "--a", str(a), "--b", str(other), "--on-missing", missing,
+                        "--out", str(out)]) == 1
+        assert "'w.scale' holds" in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == [a.name, b.name, c.name]
+    with pytest.raises(quant.BadScale, match="'w.scale' holds"):
+        quant.validate_quantization(original, quantized, quant.QuantPolicy())
 
 
 def test_merge_to_f16_saturates(tmp_path):

@@ -50,10 +50,7 @@ def _write(path: Path, seed: int) -> None:
     rng = np.random.default_rng(seed)
     names = [f"layer.{i:02d}" for i in range(N_TENSORS)]
     info = tio.TensorInfo(tio.DType.F32, (TENSOR_ELEMS,))
-    payloads = (
-        tio.Tensor(info.dtype, info.shape, rng.standard_normal(TENSOR_ELEMS).astype("<f4").tobytes())
-        for _ in names
-    )
+    payloads = ([rng.standard_normal(TENSOR_ELEMS).astype("<f4").tobytes()] for _ in names)
     tio.write_checkpoint(tio.TensorStream({n: info for n in names}, {}, payloads), path)
 
 
