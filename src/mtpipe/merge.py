@@ -26,6 +26,7 @@ from .tensorio import (
     TensorInfo,
     TensorStream,
     chunks,
+    collect,
 )
 
 
@@ -66,16 +67,18 @@ def slerp_vec(
     """Interpolate between two equal-length vectors along their arc.
 
     Falls back to linear interpolation when either vector is zero or the
-    subtended angle is numerically degenerate (sin of the angle below eps),
-    so antiparallel and near-parallel inputs never produce NaN. The result
-    goes to ``out`` when given, which may be ``a`` itself. ``coefficients``,
-    slerp_coefficients of whole vectors, skips the reduction, so a call can
-    combine one chunk of them. Products go to ``scratch``, a float64 array
-    of min(len(a), CHUNK_ELEMS) or more elements; a call given ``out`` and
-    ``scratch`` allocates no array.
+    subtended angle is numerically degenerate (sin of the angle below eps,
+    which must be positive), so antiparallel and near-parallel inputs never
+    produce NaN. The result goes to ``out`` when given, which may be ``a``
+    itself. ``coefficients``, slerp_coefficients of whole vectors, skips the
+    reduction, so a call can combine one chunk of them. Products go to
+    ``scratch``, a float64 array of min(len(a), CHUNK_ELEMS) or more
+    elements; a call given ``out`` and ``scratch`` allocates no array.
     """
     if not 0.0 <= t <= 1.0:
         raise TOutOfRange(f"t must lie in [0, 1], got {t}")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     if a.shape != b.shape or a.size == 0:
@@ -152,12 +155,12 @@ def _output_dtype(da: DType, db: DType) -> DType:
 
 
 def merge_stream(x, y, spec: MergeSpec) -> TensorStream:
-    """Merge two checkpoints one tensor, and one chunk of it, at a time.
+    """Merge two sources one tensor, and one chunk of it, at a time.
 
-    ``x`` and ``y`` are Checkpoints or open CheckpointFiles. Every check on
-    missing names, shapes and scale values runs before this
-    returns. Matching tensors must agree on shape; 8-bit ones are
-    dequantized by their scales and merge to float32 without a ``.scale``.
+    ``x`` and ``y`` may be any sources. Every check on missing names, shapes
+    and scale values runs before this returns. Matching tensors must agree on
+    shape; 8-bit ones are dequantized by their scales and merge to float32
+    without a ``.scale``.
     Each pair takes two passes over its payload chunks: the first sums the
     dot products (see dot_products), the second decodes the chunks again,
     combines and encodes them. Tensors present in only one input are an
@@ -194,7 +197,7 @@ def merge_stream(x, y, spec: MergeSpec) -> TensorStream:
     metadata = dict(x.metadata)
     metadata.update(y.metadata)
     metadata["merge_t"] = repr(spec.t)
-    return TensorStream(infos, metadata, (producers[n]() for n in sorted(producers)))
+    return TensorStream(infos, metadata, producers)
 
 
 def _values(src, name: str, scale: float, codec: Codec) -> Iterator[np.ndarray]:
@@ -224,4 +227,4 @@ def _merged(name: str, a: Callable[[], Iterator[np.ndarray]],
 
 def merge_checkpoints(x: Checkpoint, y: Checkpoint, spec: MergeSpec) -> Checkpoint:
     """Merge two checkpoints at the given interpolation weight (see merge_stream)."""
-    return merge_stream(x, y, spec).collect()
+    return collect(merge_stream(x, y, spec))

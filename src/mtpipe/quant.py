@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import fnmatch
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cache, partial
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .tensorio import (
     Tensor,
     TensorInfo,
     TensorStream,
+    collect,
 )
 
 SCALE_SUFFIX = ".scale"
@@ -38,8 +40,8 @@ class NameCollision(ToolError):
     pass
 
 
-class BadScale(ToolError):
-    """A ``.scale`` companion that is not a finite, positive number."""
+class BadScale(ToolError, ValueError):
+    """A scale that is not a finite, positive number."""
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,7 @@ class QuantizedTensor:
     def __post_init__(self) -> None:
         if self.codes.dtype is not DType.F8_E4M3:
             raise ValueError("codes tensor must carry 8-bit float payload")
-        if not (self.scale > 0 and np.isfinite(self.scale)):
-            raise ValueError(f"scale must be finite and positive, got {self.scale}")
+        _valid_scale(self.scale, "QuantizedTensor.scale")
 
 
 @dataclass(frozen=True)
@@ -111,9 +112,12 @@ def read_scale(src, companion: str | None) -> float:
     if companion is None:
         return 1.0
     (piece,) = src.pieces(companion)
-    scale = float(np.frombuffer(piece, dtype="<f4")[0])
+    return _valid_scale(float(np.frombuffer(piece, dtype="<f4")[0]), repr(companion))
+
+
+def _valid_scale(scale: float, holder: str) -> float:
     if not (scale > 0 and np.isfinite(scale)):
-        raise BadScale(f"{companion!r} holds {scale!r}; a scale must be finite and positive")
+        raise BadScale(f"{holder} holds {scale!r}; a scale must be finite and positive")
     return scale
 
 
@@ -177,18 +181,41 @@ class _Kernels:
 
 
 def quantize_stream(src, policy: QuantPolicy) -> tuple[TensorStream, dict[str, TensorAudit]]:
-    """Quantize a checkpoint one tensor, and one chunk of it, at a time.
+    """Quantize any source one tensor, and one chunk of it, at a time.
 
-    ``src`` is a Checkpoint or an open CheckpointFile. Every check that needs
-    no payload runs before this returns. Each tensor takes two passes over
-    its payload chunks: the first finds its amax, the second encodes and
+    Every check that needs no payload runs before this returns. Each tensor
+    takes two passes over its payload chunks: the first finds its amax and
+    scale, shared by the tensor and its ``.scale``, the second encodes and
     audits each chunk. Tensors the policy skips copy through verbatim, piece
     by piece. Each tensor's audit lands in the returned dict once its last
     piece is produced. The policy is recorded in the output metadata.
     """
     infos: dict[str, TensorInfo] = {}
-    scale_names: dict[str, str] = {}
+    produce: dict[str, Callable[[], Iterable]] = {}
+    k = _Kernels()
+    audits: dict[str, TensorAudit] = {}
+
+    @cache
+    def scale_of(name: str) -> float:
+        # Pass 1, the audit of a skipped tensor: its amax alone sets the
+        # scale, and it is NaN or infinite iff a value is.
+        first: dict[str, TensorAudit] = {}
+        for _ in k.audited(name, src.tensors[name].dtype, src.pieces(name), None, None, first):
+            pass
+        try:
+            return float(np.float32(compute_scale((first[name].amax,))))
+        except fp8.NonFiniteInput as exc:
+            raise fp8.NonFiniteInput(f"{name!r}: {exc}") from exc
+
+    def payload(name: str) -> Iterator:
+        scale = None if policy.skips(name) else scale_of(name)
+        return k.audited(name, src.tensors[name].dtype, src.pieces(name), scale, None, audits)
+
+    def scale_payload(name: str) -> list[bytes]:
+        return [np.float32(scale_of(name)).tobytes()]
+
     for name, info in src.tensors.items():
+        produce[name] = partial(payload, name)
         if policy.skips(name):
             infos[name] = info
             continue
@@ -199,43 +226,18 @@ def quantize_stream(src, policy: QuantPolicy) -> tuple[TensorStream, dict[str, T
             raise AlreadyQuantized(f"{name!r} already carries 8-bit codes")
         infos[name] = TensorInfo(DType.F8_E4M3, info.shape)
         infos[scale_name] = TensorInfo(DType.F32, ())
-        scale_names[scale_name] = name
-
-    audits: dict[str, TensorAudit] = {}
-
-    def payloads() -> Iterator[Iterable]:
-        k = _Kernels()
-        scales: dict[str, float] = {}
-        # Sorted order puts every name before its own ``.scale``.
-        for name in sorted(infos):
-            if name in scale_names:
-                yield [np.float32(scales.pop(scale_names[name])).tobytes()]
-                continue
-            dtype = src.tensors[name].dtype
-            scale = None
-            if not policy.skips(name):
-                # Pass 1, the audit of a skipped tensor: its amax alone sets
-                # the scale, and it is NaN or infinite iff a value is.
-                first: dict[str, TensorAudit] = {}
-                for _ in k.audited(name, dtype, src.pieces(name), None, None, first):
-                    pass
-                try:
-                    scale = scales[name] = float(np.float32(compute_scale((first[name].amax,))))
-                except fp8.NonFiniteInput as exc:
-                    raise fp8.NonFiniteInput(f"{name!r}: {exc}") from exc
-            yield k.audited(name, dtype, src.pieces(name), scale, None, audits)
+        produce[scale_name] = partial(scale_payload, name)
 
     metadata = dict(src.metadata)
     metadata["quantization"] = "fp8-e4m3-dynamic"
     metadata["quantization_skip"] = ",".join(policy.skip_patterns)
-    return TensorStream(infos, metadata, payloads()), audits
+    return TensorStream(infos, metadata, produce), audits
 
 
 def quantize_checkpoint(ckpt: Checkpoint, policy: QuantPolicy) -> Checkpoint:
     """Quantize every tensor the policy does not skip; skipped tensors copy
     through verbatim. The policy is recorded in the output metadata."""
-    stream, _ = quantize_stream(ckpt, policy)
-    return stream.collect()
+    return collect(quantize_stream(ckpt, policy)[0])
 
 
 def validate_quantization(

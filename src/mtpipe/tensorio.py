@@ -8,11 +8,11 @@ serialized with names in sorted order and payloads packed in that same order,
 so two writes of the same checkpoint are byte-identical.
 
 Both directions work one chunk of CHUNK_ELEMS elements at a time, so memory
-is bounded by a chunk, not by the largest tensor. A source, a ``Checkpoint``
-or the ``CheckpointFile`` that ``open_checkpoint`` validates, offers
-``tensors``, ``metadata`` and ``pieces(name)``: a payload chunk by chunk.
-``write_checkpoint`` builds the header from dtypes and shapes alone, then
-writes each tensor's payload pieces as a ``TensorStream`` produces them.
+is bounded by a chunk, not by the largest tensor. A source, a ``Checkpoint``,
+the ``CheckpointFile`` that ``open_checkpoint`` validates or a
+``TensorStream``, offers ``tensors``, ``metadata`` and ``pieces(name)``: a
+payload chunk by chunk, names in any order. ``write_checkpoint`` writes any
+source and ``collect`` reads any source into memory.
 ``Codec`` decodes pieces to float64 and encodes float64 back into buffers it
 allocates once.
 """
@@ -27,7 +27,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -153,37 +153,24 @@ class TensorStream:
     """A checkpoint produced one tensor at a time.
 
     ``tensors`` gives every output tensor's dtype and shape before any payload
-    exists; ``payloads`` yields the payloads in sorted-name order, each an
-    iterable of byte pieces. A piece may be a view of a buffer its producer
+    exists; ``produce`` maps each name to a zero-argument callable returning
+    its payload's byte pieces. A piece may be a view of a buffer its producer
     reuses, so it is valid only until the next is taken.
     """
 
     tensors: dict[str, TensorInfo]
     metadata: dict[str, str]
-    payloads: Iterator[Iterable]
+    produce: dict[str, Callable[[], Iterable]]
 
-    def items(self) -> Iterator[tuple[str, Iterator[memoryview]]]:
-        """Pull (name, pieces) pairs in sorted-name order. Take each tensor's
-        pieces before the next pair; once the last is taken, ValueError if
-        they do not add up to the bytes announced for the tensor."""
-        for name in sorted(self.tensors):
-            yield name, _counted(name, self.tensors[name].nbytes, next(self.payloads))
-
-    def collect(self) -> Checkpoint:
-        tensors = {}
-        for name, pieces in self.items():
-            info = self.tensors[name]
-            tensors[name] = Tensor(info.dtype, info.shape, b"".join(map(bytes, pieces)))
-        return Checkpoint(tensors=tensors, metadata=dict(self.metadata))
-
-
-def _counted(name: str, nbytes: int, pieces: Iterable) -> Iterator[memoryview]:
-    total = 0
-    for piece in pieces:
-        total += memoryview(piece).nbytes
-        yield piece
-    if total != nbytes:
-        raise ValueError(f"{name!r}: produced {total} bytes, announced {nbytes}")
+    def pieces(self, name: str) -> Iterator[memoryview]:
+        """The named payload as its producer makes it; once the last piece is
+        taken, ValueError if they do not add up to the bytes announced."""
+        total, nbytes = 0, self.tensors[name].nbytes
+        for piece in self.produce[name]():
+            total += memoryview(piece).nbytes
+            yield piece
+        if total != nbytes:
+            raise ValueError(f"{name!r}: produced {total} bytes, announced {nbytes}")
 
 
 def chunks(n: int) -> Iterator[slice]:
@@ -463,6 +450,15 @@ def _validate(path, fd: int) -> CheckpointFile:
     return CheckpointFile(path, fd, tensors, offsets, dict(metadata_raw))
 
 
+def collect(src) -> Checkpoint:
+    """Read any source into a Checkpoint."""
+    tensors = {}
+    for name in sorted(src.tensors):
+        info = src.tensors[name]
+        tensors[name] = Tensor(info.dtype, info.shape, b"".join(map(bytes, src.pieces(name))))
+    return Checkpoint(tensors=tensors, metadata=dict(src.metadata))
+
+
 def read_checkpoint(path: str | Path) -> Checkpoint:
     """Parse a checkpoint file, validating the offset table before returning.
 
@@ -470,31 +466,27 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
     or IoFailure; a malformed file never yields a partial checkpoint.
     """
     with open_checkpoint(path) as src:
-        pieces = (src.pieces(name) for name in sorted(src.tensors))
-        return TensorStream(src.tensors, src.metadata, pieces).collect()
+        return collect(src)
 
 
-def write_checkpoint(ckpt: Checkpoint | TensorStream, path: str | Path) -> None:
-    """Serialize a checkpoint; rereading the file yields an equal checkpoint.
+def write_checkpoint(src, path: str | Path) -> None:
+    """Serialize any source; rereading the file yields an equal checkpoint.
 
     The file is written as ``<path>.tmp`` beside its destination and renamed
     over ``path`` only when complete. Payload pieces are written as they are
     produced. If writing fails, or producing a payload raises, neither the
     temp file nor a partial ``path`` is left behind.
     """
-    if isinstance(ckpt, Checkpoint):
-        tensors = ckpt.tensors
-        ckpt = TensorStream(tensors, ckpt.metadata, (tensors[n].pieces() for n in sorted(tensors)))
-    for name in ckpt.tensors:
+    for name in src.tensors:
         if not name:
             raise EmptyName("tensor names must be non-empty")
 
     header: dict[str, object] = {}
-    if ckpt.metadata:
-        header["__metadata__"] = {k: ckpt.metadata[k] for k in sorted(ckpt.metadata)}
+    if src.metadata:
+        header["__metadata__"] = {k: src.metadata[k] for k in sorted(src.metadata)}
     offset = 0
-    for name in sorted(ckpt.tensors):
-        info = ckpt.tensors[name]
+    for name in sorted(src.tensors):
+        info = src.tensors[name]
         header[name] = {
             "dtype": info.dtype.value,
             "shape": list(info.shape),
@@ -512,8 +504,8 @@ def write_checkpoint(ckpt: Checkpoint | TensorStream, path: str | Path) -> None:
             with open(tmp, "wb") as fh:
                 fh.write(struct.pack("<Q", len(header_bytes)))
                 fh.write(header_bytes)
-                for _, pieces in ckpt.items():
-                    for piece in pieces:
+                for name in sorted(src.tensors):
+                    for piece in src.pieces(name):
                         fh.write(piece)
             os.replace(tmp, path)
         except BaseException:

@@ -50,8 +50,9 @@ def _write(path: Path, seed: int) -> None:
     rng = np.random.default_rng(seed)
     names = [f"layer.{i:02d}" for i in range(N_TENSORS)]
     info = tio.TensorInfo(tio.DType.F32, (TENSOR_ELEMS,))
-    payloads = ([rng.standard_normal(TENSOR_ELEMS).astype("<f4").tobytes()] for _ in names)
-    tio.write_checkpoint(tio.TensorStream({n: info for n in names}, {}, payloads), path)
+    produce = {n: lambda: [rng.standard_normal(TENSOR_ELEMS).astype("<f4").tobytes()]
+               for n in names}
+    tio.write_checkpoint(tio.TensorStream(dict.fromkeys(names, info), {}, produce), path)
 
 
 def _peak_bytes(args: list[str], cwd: Path, child: str = CHILD) -> int:

@@ -127,6 +127,12 @@ def test_shape_mismatch_and_t_range(rng):
         merge.MergeSpec(t=-0.1)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+def test_an_eps_that_is_not_positive_is_a_value_error(eps):
+    with pytest.raises(ValueError, match="eps must be positive"):
+        merge.slerp_vec([1.0, 0.0], [2.0, 0.0], 0.5, eps=eps)
+
+
 def _f32_checkpoint(rng, names=("a", "b")):
     tensors = {}
     for name in names:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from mtpipe import fp8, merge, quant
+from mtpipe import fp8, merge, quant, tensorio as tio
 from mtpipe.tensorio import CHUNK_ELEMS, Checkpoint, DType, Tensor, tensor_as_f64, tensor_from_f64
 
 from oracles import naive_audit
@@ -39,6 +41,12 @@ def test_rejects_non_finite():
     raw = np.array([1.0, np.inf], dtype="<f4").tobytes()
     with pytest.raises(fp8.NonFiniteInput):
         quant.quantize_fp8(Tensor(DType.F32, (2,), raw))
+
+
+@pytest.mark.parametrize("scale", [0.0, -2.0, math.nan, math.inf])
+def test_a_quantized_tensor_with_a_bad_scale_raises_bad_scale(scale):
+    with pytest.raises(quant.BadScale, match="a scale must be finite and positive"):
+        quant.QuantizedTensor(Tensor(DType.F8_E4M3, (1,), bytes([0x38])), scale)
 
 
 def test_dequantize_scales_codes():
@@ -187,7 +195,7 @@ def test_fused_validated_and_two_pass_audits_agree_across_chunks(rng):
     policy = quant.QuantPolicy(skip_patterns=("*.norm",))
 
     stream, fused = quant.quantize_stream(original, policy)
-    quantized = stream.collect()
+    quantized = tio.collect(stream)
     validated = quant.validate_quantization(
         original, quant.quantize_checkpoint(original, policy), policy)
     oracle = {}

@@ -1,10 +1,12 @@
 """quantize and merge streamed from files, a chunk at a time, write the same
-bytes and audits as the collect-wrappers on in-memory checkpoints, and a
-payload that ends early fails the command without leaving an output."""
+bytes and audits as the collect-wrappers on in-memory checkpoints; every kind
+of source writes what ``collect`` reads; and a payload that ends early, or
+misses the bytes it announced, leaves no output."""
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -103,3 +105,55 @@ def test_a_payload_truncated_after_open_fails_with_no_output(tmp_path, rng, monk
     assert cli.main([*args, "--out", str(out)]) == 1
     assert "ends 3 bytes short" in caplog.text
     assert sorted(p.name for p in tmp_path.iterdir()) == [a.name, b.name]
+
+
+def test_every_source_writes_what_collect_reads(tmp_path, rng):
+    x = _checkpoint(rng, (DType.F32, DType.F16, DType.BF16))
+    path = tmp_path / "x.safetensors"
+    tio.write_checkpoint(x, path)
+    with tio.open_checkpoint(path) as opened:
+        sources = (x, opened, quant.quantize_stream(opened, POLICY)[0],
+                   merge.merge_stream(opened, x, merge.MergeSpec(t=0.3)))
+        for i, src in enumerate(sources):
+            out = tmp_path / f"{i}.safetensors"
+            tio.write_checkpoint(src, out)
+            assert tio.read_checkpoint(out) == tio.collect(src)
+
+
+def test_a_file_written_from_its_open_source_is_byte_identical(tmp_path, rng):
+    a, b = tmp_path / "a.safetensors", tmp_path / "b.safetensors"
+    tio.write_checkpoint(_checkpoint(rng, (DType.F32, DType.F16, DType.BF16)), a)
+    with tio.open_checkpoint(a) as opened:
+        tio.write_checkpoint(opened, b)
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_a_quantize_stream_read_scales_first_matches_the_sorted_walk(rng):
+    x = _checkpoint(rng, (DType.F32, DType.F16, DType.BF16))
+    stream, sorted_audits = quant.quantize_stream(x, POLICY)
+    expected = tio.collect(stream)
+    reads = Counter()
+
+    def counted(name):
+        reads[name] += 1
+        return Checkpoint.pieces(x, name)
+
+    x.pieces = counted
+    stream, audits = quant.quantize_stream(x, POLICY)
+    # Reverse-sorted, each ``.scale`` comes before its tensor.
+    order = sorted(stream.tensors, reverse=True)
+    payloads = {n: b"".join(map(bytes, stream.pieces(n))) for n in order}
+    assert payloads == {n: t.data for n, t in expected.tensors.items()}
+    assert audits == sorted_audits
+    # Two passes per quantized tensor, one per skipped tensor.
+    assert reads == {n: 1 if POLICY.skips(n) else 2 for n in x.tensors}
+
+
+@pytest.mark.parametrize("produced", [15, 17], ids=["short", "long"])
+def test_a_payload_that_misses_its_announced_bytes_writes_nothing(tmp_path, produced):
+    info = tio.TensorInfo(DType.F32, (4,))
+    stream = tio.TensorStream({"a": info, "b": info}, {}, {
+        "a": lambda: [bytes(16)], "b": lambda: [bytes(8), bytes(produced - 8)]})
+    with pytest.raises(ValueError, match=f"'b': produced {produced} bytes, announced 16"):
+        tio.write_checkpoint(stream, tmp_path / "out.safetensors")
+    assert list(tmp_path.iterdir()) == []
