@@ -98,20 +98,22 @@ def _file_digest(path: str | Path) -> str:
 
 
 def _run_once(
-    state_path: str | None, out: str, work: Callable[[], None], parts: Callable[[], list[str]]
+    state_path: str | None, outs: list[str | None], work: Callable[[], None],
+    parts: Callable[[], list[str]],
 ) -> None:
     """Run a local step, or skip it when ``--state`` records this same run
-    (fingerprint of ``parts()``, built only then) as done and ``out`` still exists."""
+    (fingerprint of ``parts()``, built only then) as done and every output it
+    names in ``outs`` (None for an optional one not given) still exists."""
     if not state_path:
         work()
         return
     fingerprint_parts = parts()
     with JobState(state_path, run_fingerprint(fingerprint_parts)) as state:
-        if 0 in state.completed and Path(out).exists():
+        if 0 in state.completed and all(Path(out).exists() for out in outs if out):
             log.info("%s already complete; nothing to do", fingerprint_parts[0])
             return
         work()
-        state.record(0, str(out))
+        state.record(0, str(outs[0]))
 
 
 # --------------------------------------------------------------------------
@@ -164,11 +166,14 @@ def _split_lines(text: str) -> list[str]:
     return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
-def _read_lines(path: str) -> list[str]:
+def _read_lines(path: str | None) -> list[str]:
+    """The lines of file ``path``, or of standard input's bytes when it is
+    None, decoded as strict UTF-8 whatever the locale."""
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        text = (Path(path).read_bytes() if path else sys.stdin.buffer.read()).decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ToolError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from exc
+        where = path or "<stdin>"
+        raise ToolError(f"{where}: not UTF-8 at byte {exc.start}: {exc.reason}") from exc
     return _split_lines(text)
 
 
@@ -205,8 +210,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_tokenize(args: argparse.Namespace) -> int:
-    lines = _read_lines(args.in_path) if args.in_path else _split_lines(sys.stdin.read())
-    out = [" ".join(metrics.tokenize_13a(line)) for line in lines]
+    out = [" ".join(metrics.tokenize_13a(line)) for line in _read_lines(args.in_path)]
     if args.out:
         Path(args.out).write_text("".join(s + "\n" for s in out), encoding="utf-8")
     else:
@@ -219,13 +223,13 @@ def cmd_translate_corpus(args: argparse.Namespace) -> int:
     records = pipeline.load_instruction_records(args.in_path)
     prompts: list[str] = []
     for record in records:
-        prompts.append(pipeline.render_translation_prompt(record.instruction, args.template))
-        prompts.append(pipeline.render_translation_prompt(record.response, args.template))
-    items = [inference.BatchItem(i, prompt) for i, prompt in enumerate(prompts)]
-
+        try:
+            prompts.append(pipeline.render_translation_prompt(record.instruction, args.template))
+            prompts.append(pipeline.render_translation_prompt(record.response, args.template))
+        except pipeline.EmptyText as exc:
+            raise pipeline.EmptyText(f"record {record.id!r}: {exc}") from exc
     cfg, concurrency = _endpoint_from(args)
-    with JobState(args.state, inference.batch_fingerprint(items, cfg)) as state:
-        outputs = inference.run_batch(items, cfg, concurrency, state)
+    outputs = inference.run_prompts(prompts, cfg, concurrency, args.state)
 
     pipeline.write_bilingual_tuples(args.out, records, outputs[0::2], outputs[1::2])
     log.info("translated %d records -> %s", len(records), args.out)
@@ -258,7 +262,7 @@ def cmd_pair(args: argparse.Namespace) -> int:
         )
         log.info("paired %d records -> %s", n, args.out)
 
-    _run_once(args.state, args.out, work, lambda: [
+    _run_once(args.state, [args.out], work, lambda: [
         "pair", _file_digest(args.records), _file_digest(args.instr_ar),
         _file_digest(args.resp_ar), str(args.out)])
     return 0
@@ -273,7 +277,7 @@ def cmd_filter_code(args: argparse.Namespace) -> int:
         pipeline.write_instruction_records(args.out, kept)
         print(f"kept={len(kept)} dropped={dropped}")
 
-    _run_once(args.state, args.out, work, lambda: [
+    _run_once(args.state, [args.out], work, lambda: [
         "filter-code", _file_digest(args.in_path), str(args.min_code_lines),
         repr(args.symbol_ratio), str(args.out)])
     return 0
@@ -297,8 +301,9 @@ def cmd_mix(args: argparse.Namespace) -> int:
             Path(args.manifest).write_text(manifest.to_json() + "\n", encoding="utf-8")
         print(f"total={manifest.total}")
 
-    _run_once(args.state, args.out, work, lambda: ["mix", str(args.out), str(shuffle_seed)] + [
-        f"{s.name}={_file_digest(s.path)}={s.expected}" for s in sources])
+    _run_once(args.state, [args.out, args.manifest], work, lambda: [
+        "mix", str(args.out), str(shuffle_seed),
+        *(f"{s.name}={_file_digest(s.path)}={s.expected}" for s in sources)])
     return 0
 
 

@@ -8,6 +8,7 @@ threads of its own, one per request in flight, each keeping one keep-alive
 connection until the batch ends; a call outside a batch opens and closes its
 own. A batch returns outputs in item order and journals every completion
 through a JobState before reporting it, so a resumed run skips finished items.
+``run_prompts`` is the one place that binds an endpoint job's state to its prompts.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import threading
 from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from itertools import islice
+from pathlib import Path
 from urllib.parse import urlsplit
 from urllib.request import getproxies, proxy_bypass
 
@@ -244,3 +246,14 @@ def run_batch(
     if failure is not None:
         raise failure
     return [state.completed[i] for i in range(len(items))]
+
+
+def run_prompts(
+    prompts: list[str], cfg: EndpointConfig, concurrency: int, state_path: str | Path
+) -> list[str]:
+    """Complete ``prompts`` as one resumable job and return the replies in
+    prompt order: number them as BatchItems and run_batch them inside the
+    JobState at ``state_path``, bound to their batch_fingerprint."""
+    items = [BatchItem(i, prompt) for i, prompt in enumerate(prompts)]
+    with JobState(state_path, batch_fingerprint(items, cfg)) as state:
+        return run_batch(items, cfg, concurrency, state)

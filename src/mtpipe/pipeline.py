@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import inference
 from .errors import LengthMismatch, ToolError
-from .state import JobState
 
 # Prompt sent to the full-size translation model.
 TEACHER_TEMPLATE = "Translate from English to Arabic: {text}"
@@ -150,17 +149,16 @@ def filter_parallel_corpus(
     pairs: Iterable[tuple[str, str]],
     judge: inference.EndpointConfig | Callable[[str], str],
     *,
-    state: JobState | str | Path | None = None,
+    state: str | Path | None = None,
     concurrency: int = 1,
 ) -> tuple[list[tuple[str, str]], FilterStats]:
     """Judge (ar, en) pairs once each and keep those marked accept.
 
-    ``judge`` is either an endpoint config (judged through the batch client,
-    resumable via ``state``) or a plain callable from rendered prompt to raw
-    reply for offline runs. ``state`` may be a path, in which case the job
-    state is opened here bound to this run's fingerprint. Unparseable replies
-    are dropped from the accepted output but counted separately from rejects.
-    Input order is preserved.
+    ``judge`` is either an endpoint config, judged as one resumable job
+    (``inference.run_prompts``) whose state is at the path ``state``, or a
+    plain callable from rendered prompt to raw reply for offline runs.
+    Unparseable replies are dropped from the accepted output but counted
+    separately from rejects. Input order is preserved.
     """
     if callable(judge):
         # Offline path: judge pair by pair without materializing prompts.
@@ -168,17 +166,9 @@ def filter_parallel_corpus(
     else:
         if state is None:
             raise ValueError("endpoint judging requires a job state")
-        pair_list = list(pairs)
-        items = [
-            inference.BatchItem(i, render_judge_prompt(ar, en))
-            for i, (ar, en) in enumerate(pair_list)
-        ]
-        if isinstance(state, JobState):
-            replies = inference.run_batch(items, judge, concurrency, state)
-        else:
-            with JobState(state, inference.batch_fingerprint(items, judge)) as job:
-                replies = inference.run_batch(items, judge, concurrency, job)
-        judged = zip(pair_list, replies)
+        pairs = list(pairs)
+        prompts = [render_judge_prompt(ar, en) for ar, en in pairs]
+        judged = zip(pairs, inference.run_prompts(prompts, judge, concurrency, state))
 
     accepted: list[tuple[str, str]] = []
     counts = Counter()
@@ -343,9 +333,16 @@ def read_records(
 
 
 def load_parallel_pairs(path: str | Path) -> list[tuple[str, str]]:
-    """Read {ar, en} pair records, both fields strings, as (ar, en) tuples."""
+    """Read {ar, en} pair records, both fields non-empty strings, as (ar, en)
+    tuples; a record with an empty side is a MalformedLine naming its line."""
     fields = ("ar", "en")
-    return [(obj["ar"], obj["en"]) for obj in read_records(path, required=fields, text=fields)]
+    pairs = []
+    for line_no, obj in enumerate(read_records(path, required=fields, text=fields), start=1):
+        for name in fields:
+            if not obj[name]:
+                raise MalformedLine(str(path), line_no, f"field {name!r} is empty")
+        pairs.append((obj["ar"], obj["en"]))
+    return pairs
 
 
 def write_parallel_pairs(path: str | Path, pairs: Iterable[tuple[str, str]]) -> int:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -224,6 +225,23 @@ def test_tokenize_command(tmp_path, capsys):
     assert capsys.readouterr().out == "3.5 apples , now .\n"
 
 
+@pytest.mark.parametrize("io_encoding", [None, "utf-8:strict"])
+def test_tokenize_stdin_is_strict_utf8_whatever_the_locale(tmp_path, io_encoding):
+    env = dict(os.environ)
+    env.pop("PYTHONIOENCODING", None)
+    if io_encoding:
+        env["PYTHONIOENCODING"] = io_encoding
+    command = [sys.executable, "-m", "mtpipe.cli", "tokenize"]
+    proc = subprocess.run(command, input=b"3.5 apples, now.\n", capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"3.5 apples , now .\n"
+
+    proc = subprocess.run(command, input=b"abc\xff", capture_output=True, env=env)
+    assert proc.returncode == 1
+    assert b"<stdin>: not UTF-8 at byte 3" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 def test_filter_code_command(tmp_path, capsys):
     src = tmp_path / "records.jsonl"
     pipeline.write_records(
@@ -273,6 +291,30 @@ def test_mix_command(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out.strip() == "total=4"
     assert json.loads(manifest.read_text())["total"] == 4
+
+
+@pytest.mark.parametrize("rerun", ["deleted", "new-path"])
+def test_mix_rerun_with_state_writes_a_manifest_that_does_not_exist(tmp_path, capsys, rerun):
+    src = tmp_path / "a.jsonl"
+    pipeline.write_records(src, [{"en": "x", "ar": "y"}] * 2)
+    args = ["mix", "--source", f"alpha={src}=2", "--out", str(tmp_path / "m.jsonl"),
+            "--state", str(tmp_path / "ms")]
+    first = tmp_path / "man1.json"
+    assert run_cli(args + ["--manifest", str(first)]) == 0
+    written = first.read_text(encoding="utf-8")
+    if rerun == "deleted":
+        first.unlink()
+        manifest = first
+    else:
+        manifest = tmp_path / "man2.json"
+    capsys.readouterr()
+
+    assert run_cli(args + ["--manifest", str(manifest)]) == 0
+    assert capsys.readouterr().out.strip() == "total=2"
+    assert manifest.read_text(encoding="utf-8") == written
+    # With every output in place, the run is done.
+    assert run_cli(args + ["--manifest", str(manifest)]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_mix_count_mismatch_exit_one(tmp_path):
@@ -346,6 +388,18 @@ def test_translate_corpus_command(tmp_path, capsys):
     assert rows[1]["instr_ar"] == "عربي<ask 1>"
     assert rows[2]["resp_ar"] == "عربي<ans 2>"
     assert all(r["source"] == "unit" for r in rows)
+
+
+def test_translate_corpus_empty_response_names_its_record(tmp_path, caplog):
+    records = tmp_path / "records.jsonl"
+    pipeline.write_records(records, [{"id": "r0", "instruction": "ask", "response": "ans"},
+                                     {"id": "r1", "instruction": "ask", "response": ""}])
+    state = tmp_path / "tr.state"
+    code = run_cli(["translate-corpus", "--in", str(records), "--out", str(tmp_path / "t.jsonl"),
+                    "--state", str(state), "--base-url", "http://127.0.0.1:1", "--model", "m"])
+    assert code == 1
+    assert "record 'r1': cannot render a prompt for empty text" in caplog.text
+    assert not state.exists()
 
 
 def test_malformed_proxy_variable_is_one_line_error(tmp_path, monkeypatch, caplog):
@@ -751,6 +805,18 @@ def test_judge_non_string_pair_field_names_its_line(tmp_path, caplog, record, fi
                     "--model", "m"])
     assert code == 1
     assert f"{pairs_path} line 2: field {field!r} is {kind}, not a string" in caplog.text
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("field", ["ar", "en"])
+def test_judge_empty_pair_side_names_its_line(tmp_path, caplog, field):
+    pairs_path = tmp_path / "pairs.jsonl"
+    pipeline.write_records(pairs_path, [{"ar": "أ", "en": "a"}, {"ar": "ب", "en": "b", field: ""}])
+    code = run_cli(["judge", "--in", str(pairs_path), "--accepted", str(tmp_path / "a"),
+                    "--state", str(tmp_path / "s"), "--base-url", "http://127.0.0.1:1",
+                    "--model", "m"])
+    assert code == 1
+    assert f"{pairs_path} line 2: field {field!r} is empty" in caplog.text
     assert not (tmp_path / "s").exists()
 
 

@@ -139,6 +139,29 @@ def test_concurrent_batch_order_and_inflight_bound(tmp_path):
         assert stub.max_in_flight >= 2  # concurrency actually happened
 
 
+def test_run_prompts_returns_replies_in_prompt_order_under_their_fingerprint(tmp_path):
+    prompts = [f"prompt-{i:02d}" for i in range(40)]
+    latency_rng = random.Random(11)
+    with StubEndpoint(latency=lambda: latency_rng.uniform(0, 0.01)) as stub:
+        cfg = make_cfg(stub)
+        assert inference.run_prompts(prompts, cfg, 4, tmp_path / "s") == prompts
+        assert 2 <= stub.max_in_flight <= 4
+    items = [BatchItem(i, prompt) for i, prompt in enumerate(prompts)]
+    with JobState(tmp_path / "s", batch_fingerprint(items, cfg)) as state:
+        assert state.completed == dict(enumerate(prompts))
+
+
+def test_run_prompts_closes_its_job_state_when_the_batch_fails(tmp_path):
+    with StubEndpoint(lambda prompt, nth: ("status", 500)) as stub:
+        cfg = make_cfg(stub, max_retries=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ExhaustedRetries):
+                inference.run_prompts(["a", "b", "c"], cfg, 2, tmp_path / "s")
+            gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
 def test_state_mismatch_detected(tmp_path):
     items = [BatchItem(0, "a")]
     with StubEndpoint() as stub:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from mtpipe import pipeline
+from mtpipe.inference import EndpointConfig, ExhaustedRetries
 from mtpipe.pipeline import (
     BilingualTuple,
     EmptyField,
@@ -19,6 +20,7 @@ from mtpipe.pipeline import (
 )
 
 from oracles import naive_looks_like_code
+from stubserver import StubEndpoint
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -146,6 +148,45 @@ def test_filter_judge_sees_rendered_prompt():
 
     pipeline.filter_parallel_corpus([("AR", "EN")], judge)
     assert seen == [pipeline.render_judge_prompt("AR", "EN")]
+
+
+def _scripted_verdict(prompt: str) -> str:
+    """accept, reject or an unparseable reply, by the number of the pair."""
+    i = int(prompt.split("English: en", 1)[1].split("\n", 1)[0])
+    return ("accept", "reject", "no idea")[i % 3]
+
+
+def test_endpoint_filter_resumes_after_a_failure_and_agrees_with_a_callable_judge(tmp_path):
+    pairs = [(f"ar{i}", f"en{i}") for i in range(9)]
+    prompts = [pipeline.render_judge_prompt(*pair) for pair in pairs]
+    broken = True
+
+    def behavior(prompt, nth):
+        if broken and prompt == prompts[5]:
+            return ("status", 500)
+        return ("ok", _scripted_verdict(prompt))
+
+    state = tmp_path / "judge.state"
+    with StubEndpoint(behavior) as stub:
+        cfg = EndpointConfig(stub.base_url, "judge", max_retries=0, backoff_base=0.01)
+        with pytest.raises(ExhaustedRetries):
+            pipeline.filter_parallel_corpus(pairs, cfg, state=state, concurrency=1)
+        assert all(stub.calls_per_prompt[prompt] == 1 for prompt in prompts[:6])
+
+        broken = False
+        accepted, stats = pipeline.filter_parallel_corpus(pairs, cfg, state=state, concurrency=2)
+        # The rerun sent only the pairs the first run had not judged: every
+        # prompt went once, the failed one twice, and none was judged twice.
+        assert stub.calls_per_prompt == {**dict.fromkeys(prompts, 1), prompts[5]: 2}
+        assert set(stub.successes_per_prompt.values()) == {1}
+    assert (accepted, stats) == pipeline.filter_parallel_corpus(pairs, _scripted_verdict)
+    assert (stats.accepted, stats.rejected, stats.unparseable) == (3, 3, 3)
+
+
+def test_endpoint_filter_without_state_is_a_value_error():
+    cfg = EndpointConfig("http://127.0.0.1:1", "judge")
+    with pytest.raises(ValueError, match="requires a job state"):
+        pipeline.filter_parallel_corpus([("a", "b")], cfg)
 
 
 # --------------------------------------------------------------------------
