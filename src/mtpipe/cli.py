@@ -21,7 +21,7 @@ from typing import Callable
 
 from . import evalset, inference, merge, metrics, pipeline, quant, tensorio
 from .errors import ToolError
-from .state import JobState, run_fingerprint
+from .state import JobState, atomic_write, run_fingerprint
 
 log = logging.getLogger("mtpipe")
 
@@ -203,16 +203,16 @@ def cmd_score(args: argparse.Namespace) -> int:
         payload = {args.metric: score, "n_pairs": len(hyps)}
 
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
-        )
+        with atomic_write(args.report) as fh:
+            fh.write(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_tokenize(args: argparse.Namespace) -> int:
     out = [" ".join(metrics.tokenize_13a(line)) for line in _read_lines(args.in_path)]
     if args.out:
-        Path(args.out).write_text("".join(s + "\n" for s in out), encoding="utf-8")
+        with atomic_write(args.out) as fh:
+            fh.writelines(s + "\n" for s in out)
     else:
         for s in out:
             print(s)
@@ -250,7 +250,8 @@ def cmd_judge(args: argparse.Namespace) -> int:
         f"rate={stats.acceptance_rate * 100:.2f}%"
     )
     if args.stats:
-        Path(args.stats).write_text(stats.to_json(), encoding="utf-8")
+        with atomic_write(args.stats) as fh:
+            fh.write(stats.to_json())
     return 0
 
 
@@ -298,7 +299,8 @@ def cmd_mix(args: argparse.Namespace) -> int:
     def work() -> None:
         manifest = pipeline.mix_corpora(sources, args.out, shuffle_seed=shuffle_seed)
         if args.manifest:
-            Path(args.manifest).write_text(manifest.to_json() + "\n", encoding="utf-8")
+            with atomic_write(args.manifest) as fh:
+                fh.write(manifest.to_json() + "\n")
         print(f"total={manifest.total}")
 
     _run_once(args.state, [args.out, args.manifest], work, lambda: [
@@ -323,9 +325,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     report, row = evalset.build_report(pairs, outputs, args.name)
     print(row)
     if args.out:
-        Path(args.out).write_text(
-            evalset.report_to_json(args.name, report) + "\n", encoding="utf-8"
-        )
+        with atomic_write(args.out) as fh:
+            fh.write(evalset.report_to_json(args.name, report) + "\n")
     return 0
 
 

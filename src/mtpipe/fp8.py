@@ -78,9 +78,9 @@ def encode_array(values: np.ndarray, out: np.ndarray | None = None, *,
     # Scaling by a power of two is exact, so rint rounds to nearest-even on
     # the step count n itself, and a carry into the next exponent is the
     # next code. The code is n + 8*e + 40; NaN lanes are overwritten below.
-    np.frexp(np.maximum(mag, 2.0**-6, out=step), out=(step, shift))
-    np.subtract(4, shift, out=shift)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"):  # NaN lanes; some frexp loops flag signalling NaN
+        np.frexp(np.maximum(mag, 2.0**-6, out=step), out=(step, shift))
+        np.subtract(4, shift, out=shift)
         n = np.ldexp(mag, shift, out=mag)
         np.rint(n, out=n)
         shift *= -8

@@ -150,6 +150,10 @@ def chat_complete(cfg: EndpointConfig, prompt: str) -> str:
                         raise MalformedResponse(f"no message content in response: {exc}") from exc
                     if not isinstance(content, str):
                         raise MalformedResponse(f"content has type {type(content).__name__}")
+                    try:
+                        content.encode("utf-8")  # a lone surrogate escape is not text
+                    except UnicodeEncodeError as exc:
+                        raise MalformedResponse(f"content is not valid Unicode: {exc}") from exc
                     return content
                 text = data.decode("utf-8", "replace")[:200]
                 if status != 429 and status < 500:
@@ -254,6 +258,8 @@ def run_prompts(
     """Complete ``prompts`` as one resumable job and return the replies in
     prompt order: number them as BatchItems and run_batch them inside the
     JobState at ``state_path``, bound to their batch_fingerprint."""
+    if concurrency < 1:  # before the JobState creates any file
+        raise ValueError("concurrency must be at least 1")
     items = [BatchItem(i, prompt) for i, prompt in enumerate(prompts)]
     with JobState(state_path, batch_fingerprint(items, cfg)) as state:
         return run_batch(items, cfg, concurrency, state)

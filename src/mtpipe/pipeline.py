@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import inference
 from .errors import LengthMismatch, ToolError
+from .state import atomic_write
 
 # Prompt sent to the full-size translation model.
 TEACHER_TEMPLATE = "Translate from English to Arabic: {text}"
@@ -287,7 +288,7 @@ def dumps_record(record: dict) -> str:
 
 def write_records(path: str | Path, records: Iterable[dict]) -> int:
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for record in records:
             fh.write(dumps_record(record))
             fh.write("\n")
@@ -301,9 +302,9 @@ def read_records(
     required: Sequence[str] = (),
     text: Sequence[str] = (),
 ) -> Iterator[dict]:
-    """Stream one JSON object per line; malformed lines, objects lacking a
-    ``required`` field and ``text`` fields that are present but not strings
-    are an error."""
+    """Stream one JSON object per line; malformed lines (a string escape that
+    is a lone surrogate too), objects lacking a ``required`` field and
+    ``text`` fields that are present but not strings are an error."""
     label = source if source is not None else str(path)
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -321,6 +322,13 @@ def read_records(
                 raise MalformedLine(label, line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise MalformedLine(label, line_no, "line is not an object")
+            if "\\u" in line:  # only an escape can make a lone surrogate
+                try:
+                    dumps_record(record).encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise MalformedLine(
+                        label, line_no, f"not encodable as UTF-8: {exc.reason}"
+                    ) from exc
             for name in required:
                 if name not in record:
                     raise MalformedLine(label, line_no, f"missing field {name!r}")
@@ -463,7 +471,7 @@ def mix_corpora(
 
         lines = shuffled(lines, shuffle_seed)
 
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with atomic_write(out_path) as fh:
         for line in lines:
             fh.write(line)
             fh.write("\n")

@@ -1,20 +1,21 @@
-"""Durable run state for resumable batch jobs.
+"""Durable files: ``atomic_write``, the writer of every output, and job state.
 
 A job owns two files: a JSON state file holding the run fingerprint plus the
 last known-good journal length, and an append-only journal of completed items
-(one JSON line per item). State file updates are atomic
-(write-new-then-rename). On resume the journal is read line by line; a torn
-tail past the recorded position is truncated, and a whole last entry that lost
-its newline gets it back. An item recorded in the journal is never re-sent.
+(one JSON line per item). The journal is fsynced before each state file
+update. On resume the journal is read line by line; a torn tail past the
+recorded position is truncated, and a whole last entry that lost its newline
+gets it back. An item recorded in the journal is never re-sent.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Iterable
+from typing import IO, Iterable, Iterator
 
 from .errors import ToolError
 
@@ -27,6 +28,37 @@ class StateMismatch(ToolError):
 
 class StateCorrupt(ToolError):
     pass
+
+
+@contextlib.contextmanager
+def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Yield a file (UTF-8 text for "w", bytes for "wb") that becomes ``path``,
+    whole and fsynced, only if the block completes; else ``path`` is left as
+    it was and no ``<path>.tmp`` remains. A symlink keeps its link and its
+    target is replaced; a target that is not a regular file (a FIFO, a
+    device) cannot be replaced, so it is written in place."""
+    encoding = None if "b" in mode else "utf-8"
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    tmp = target + ".tmp"
+    try:
+        with open(tmp, mode, encoding=encoding) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    directory = os.open(os.path.dirname(target), os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def run_fingerprint(parts: Iterable[str]) -> str:
@@ -91,14 +123,9 @@ class JobState:
         self._journal = open(self.journal_path, "ab")
         self.checkpoint()
 
-    @property
-    def journal_pos(self) -> int:
-        self._journal.flush()
-        return self._journal.tell()
-
     def record(self, index: int, text: str) -> None:
         """Append one completed item before it is reported. The journal is
-        flushed, not fsynced, so a power loss can still drop the item."""
+        flushed; it is fsynced only at each checkpoint."""
         line = json.dumps({"i": index, "text": text}, ensure_ascii=False)
         self._journal.write(line.encode("utf-8") + b"\n")
         self._journal.flush()
@@ -108,15 +135,16 @@ class JobState:
             self.checkpoint()
 
     def checkpoint(self) -> None:
-        """Atomically persist the state file (write-new-then-rename)."""
+        """Fsync the journal, then atomic_write a state file pointing no further."""
+        self._journal.flush()
+        os.fsync(self._journal.fileno())
         meta = {
             "fingerprint": self.fingerprint,
-            "journal_pos": self.journal_pos,
+            "journal_pos": self._journal.tell(),
             "completed": len(self.completed),
         }
-        tmp = self.state_path.with_name(self.state_path.name + ".tmp")
-        tmp.write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, self.state_path)
+        with atomic_write(self.state_path) as fh:
+            fh.write(json.dumps(meta, sort_keys=True))
         self._since_checkpoint = 0
 
     def close(self) -> None:

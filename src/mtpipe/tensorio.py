@@ -19,7 +19,6 @@ allocates once.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
@@ -33,6 +32,7 @@ import numpy as np
 
 from . import fp8
 from .errors import ToolError
+from .state import atomic_write
 
 # Defends against hostile length prefixes.
 MAX_HEADER_BYTES = 100 * 1024 * 1024
@@ -472,10 +472,10 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
 def write_checkpoint(src, path: str | Path) -> None:
     """Serialize any source; rereading the file yields an equal checkpoint.
 
-    The file is written as ``<path>.tmp`` beside its destination and renamed
-    over ``path`` only when complete. Payload pieces are written as they are
-    produced. If writing fails, or producing a payload raises, neither the
-    temp file nor a partial ``path`` is left behind.
+    The file goes through ``state.atomic_write``: whole or not at all, and
+    fsynced. Payload pieces are written as they are produced. If writing
+    fails, or producing a payload raises, ``path`` is left as it was and no
+    temp file remains.
     """
     for name in src.tensors:
         if not name:
@@ -497,20 +497,12 @@ def write_checkpoint(src, path: str | Path) -> None:
     header_bytes = json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode(
         "utf-8"
     )
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
     try:
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(struct.pack("<Q", len(header_bytes)))
-                fh.write(header_bytes)
-                for name in sorted(src.tensors):
-                    for piece in src.pieces(name):
-                        fh.write(piece)
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
+        with atomic_write(path, "wb") as fh:
+            fh.write(struct.pack("<Q", len(header_bytes)))
+            fh.write(header_bytes)
+            for name in sorted(src.tensors):
+                for piece in src.pieces(name):
+                    fh.write(piece)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc

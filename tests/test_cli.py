@@ -12,6 +12,7 @@ import pytest
 
 from mtpipe import cli, pipeline, quant, tensorio as tio
 from mtpipe.inference import EndpointConfig
+from mtpipe.state import JobState
 from mtpipe.tensorio import Checkpoint, DType, tensor_from_f64
 
 from stubserver import StubEndpoint
@@ -751,6 +752,52 @@ def test_filter_code_null_response_names_its_line(tmp_path, caplog):
     code = run_cli(["filter-code", "--in", str(src), "--out", str(tmp_path / "kept.jsonl")])
     assert code == 1
     assert f"{src} line 2: field 'response' is null, not a string" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["filter-code", "mix", "translate-corpus"])
+def test_a_lone_surrogate_escape_names_its_line_and_keeps_the_output(tmp_path, caplog, command):
+    src = tmp_path / "records.jsonl"
+    src.write_text('{"instruction": "a", "response": "b"}\n'
+                   '{"instruction": "c \\ud800", "response": "d"}\n', encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    out.write_bytes(b"old\n")
+    with StubEndpoint() as stub:
+        args = {
+            "filter-code": ["filter-code", "--in", str(src), "--out", str(out)],
+            "mix": ["mix", "--source", f"a={src}=2", "--out", str(out)],
+            "translate-corpus": ["translate-corpus", "--in", str(src), "--out", str(out),
+                                 "--state", str(tmp_path / "s"), "--base-url", stub.base_url,
+                                 "--model", "m"],
+        }[command]
+        assert run_cli(args) == 1
+    label = "a" if command == "mix" else str(src)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{label} line 2: not encodable as UTF-8: surrogates not allowed"
+    ]
+    assert stub.requests == []
+    assert out.read_bytes() == b"old\n"
+
+
+def test_translate_corpus_reply_that_is_not_unicode_is_malformed(tmp_path, caplog):
+    records = tmp_path / "records.jsonl"
+    pipeline.write_records(records, [{"id": "r0", "instruction": "ask", "response": "ans"}])
+    state = tmp_path / "tr.state"
+
+    def behavior(prompt, nth):
+        return ("ok", "ok \ud800" if prompt.endswith("ans") else "fine")
+
+    with StubEndpoint(behavior) as stub:
+        code = run_cli(["translate-corpus", "--in", str(records), "--out", str(tmp_path / "t"),
+                        "--state", str(state), "--base-url", stub.base_url, "--model", "m",
+                        "--concurrency", "1"])
+    assert code == 1
+    assert stub.calls_per_prompt == {"Translate from English to Arabic: ask": 1,
+                                     "Translate from English to Arabic: ans": 1}
+    assert "content is not valid Unicode" in caplog.text
+    fingerprint = json.loads(state.read_text())["fingerprint"]
+    with JobState(state, fingerprint) as job:
+        assert job.completed == {0: "fine"}
+    assert not (tmp_path / "t").exists()
 
 
 def test_config_zero_concurrency_exits_two(tmp_path, caplog):

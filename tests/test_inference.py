@@ -162,6 +162,13 @@ def test_run_prompts_closes_its_job_state_when_the_batch_fails(tmp_path):
     assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
+def test_run_prompts_rejects_a_concurrency_below_one_before_it_creates_a_file(tmp_path):
+    cfg = EndpointConfig(base_url="http://127.0.0.1:1", model_name="m")
+    with pytest.raises(ValueError, match="concurrency must be at least 1"):
+        inference.run_prompts(["a"], cfg, 0, tmp_path / "s")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_state_mismatch_detected(tmp_path):
     items = [BatchItem(0, "a")]
     with StubEndpoint() as stub:

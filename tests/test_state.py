@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +115,29 @@ def test_state_file_is_json_with_counts(tmp_path):
     assert meta["fingerprint"] == "fp"
     assert meta["completed"] == 5
     assert meta["journal_pos"] > 0
+
+
+def test_checkpoint_fsyncs_the_journal_before_it_replaces_the_state(tmp_path, monkeypatch):
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def logged_fsync(fd):
+        events.append(("fsync", fd))
+        fsync(fd)
+
+    def logged_replace(src, dst):
+        events.append(("replace", Path(dst).name))
+        replace(src, dst)
+
+    with JobState(tmp_path / "job.state", "fp") as state:
+        state.record(0, "zero")
+        monkeypatch.setattr(os, "fsync", logged_fsync)
+        monkeypatch.setattr(os, "replace", logged_replace)
+        state.checkpoint()
+        journal_fd = state._journal.fileno()
+        monkeypatch.undo()
+    assert ("fsync", journal_fd) in events
+    assert events.index(("fsync", journal_fd)) < events.index(("replace", "job.state"))
 
 
 def test_unicode_payloads_survive(tmp_path):
