@@ -296,6 +296,9 @@ def write_records(path: str | Path, records: Iterable[dict]) -> int:
     return count
 
 
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # \ud800 to \udfff
+
+
 def read_records(
     path: str | Path,
     source: str | None = None,
@@ -322,7 +325,7 @@ def read_records(
                 raise MalformedLine(label, line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise MalformedLine(label, line_no, "line is not an object")
-            if "\\u" in line:  # only an escape can make a lone surrogate
+            if _SURROGATE_ESCAPE.search(line):  # only an escape can make a lone surrogate
                 try:
                     dumps_record(record).encode("utf-8")
                 except UnicodeEncodeError as exc:

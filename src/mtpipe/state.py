@@ -36,9 +36,13 @@ def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
     whole and fsynced, only if the block completes; else ``path`` is left as
     it was and no ``<path>.tmp`` remains. A symlink keeps its link and its
     target is replaced; a target that is not a regular file (a FIFO, a
-    device) cannot be replaced, so it is written in place."""
+    device) cannot be replaced, so it is written in place, as is any path
+    under /dev or /proc: ``/dev/stdout`` names a descriptor, even when it
+    resolves to the regular file that stdout is redirected to."""
     encoding = None if "b" in mode else "utf-8"
-    if os.path.exists(path) and not os.path.isfile(path):
+    if os.path.abspath(path).startswith(("/dev/", "/proc/")) or (
+        os.path.exists(path) and not os.path.isfile(path)
+    ):
         with open(path, mode, encoding=encoding) as fh:
             yield fh
         return

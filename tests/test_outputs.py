@@ -139,16 +139,28 @@ def test_a_fifo_output_is_written_through(tmp_path, command, capsys):
     assert _names(tmp_path) == sorted(["fifo", "plain", src.name])
 
 
-def test_dev_stdout_output_is_written_through_a_pipe(tmp_path, capsys):
+@pytest.mark.parametrize("stdout", ["pipe", "file"])
+def test_dev_stdout_output_is_written_in_place(tmp_path, capsys, stdout):
+    """``--out /dev/stdout``, with stdout a pipe or redirected to a file: the
+    redirect target is written through the shell's descriptor, not replaced."""
     src = _input(tmp_path, "tokenize")
     plain = tmp_path / "plain"
     assert cli.main(_argv("tokenize", src, plain)) == 0
-    proc = subprocess.run(
-        [sys.executable, "-m", "mtpipe.cli", *_argv("tokenize", src, Path("/dev/stdout"))],
-        capture_output=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-    )
+    argv = [sys.executable, "-m", "mtpipe.cli", *_argv("tokenize", src, Path("/dev/stdout"))]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    if stdout == "pipe":
+        proc = subprocess.run(argv, capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == plain.read_bytes()
+        return
+    log = tmp_path / "run.log"
+    with open(log, "wb") as fh:
+        inode = os.fstat(fh.fileno()).st_ino
+        proc = subprocess.run(argv, stdout=fh, stderr=subprocess.PIPE, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == plain.read_bytes()
+    assert os.stat(log).st_ino == inode
+    assert log.read_bytes() == plain.read_bytes()
+    assert _names(tmp_path) == sorted(["plain", "run.log", src.name])
 
 
 @pytest.mark.parametrize("command", ["filter-code", "mix"])

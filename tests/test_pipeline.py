@@ -326,6 +326,23 @@ def test_read_records_rejects_malformed(tmp_path):
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize("escape", ["\\ud800", "\\uDBFF", "\\udc00", "\\uDFFF"])
+def test_read_records_rejects_a_lone_surrogate_escape(tmp_path, escape):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"a": "ok"}\n{"a": "x' + escape + '"}\n', encoding="utf-8")
+    with pytest.raises(pipeline.MalformedLine) as err:
+        list(pipeline.read_records(path))
+    assert err.value.line_no == 2
+
+
+def test_read_records_reads_ascii_escaped_text_and_surrogate_pairs(tmp_path):
+    rows = [{"ar": "سلام", "emoji": "\U0001F600", "slash": "\\ud800"}]
+    path = tmp_path / "escaped.jsonl"
+    path.write_text(json.dumps(rows[0]) + "\n", encoding="ascii")
+    assert "\\u0633" in path.read_text() and "\\ud83d\\ude00" in path.read_text()
+    assert list(pipeline.read_records(path)) == rows
+
+
 def test_parallel_pair_missing_field_names_its_line(tmp_path):
     path = tmp_path / "pairs.jsonl"
     pipeline.write_records(path, [{"ar": "أ", "en": "a"}, {"ar": "ب"}])
