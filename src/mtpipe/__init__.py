@@ -27,6 +27,7 @@ _EXPORTS = {
     "quant": ("QuantPolicy", "QuantizedTensor", "dequantize_fp8", "quantize_checkpoint",
               "quantize_fp8"),
     "merge": ("MergeSpec", "MissingPolicy", "merge_checkpoints", "slerp_vec"),
+    "shards": (),
     "metrics": ("BleuOptions", "MetricReport", "bleu_corpus", "chrf_pp", "evaluate_pairs",
                 "rouge_l_f1", "tokenize_13a"),
     "inference": ("BatchItem", "EndpointConfig", "chat_complete", "run_batch"),

@@ -293,6 +293,10 @@ def cmd_mix(args: argparse.Namespace) -> int:
             sources.append(pipeline.MixSource(name, Path(path), int(count)))
         except ValueError as exc:
             raise UsageError(f"--source must be NAME=PATH=COUNT, got {raw!r}") from exc
+        try:
+            name.encode("utf-8")  # argv bytes that are not UTF-8 arrive as lone surrogates
+        except UnicodeEncodeError as exc:
+            raise UsageError(f"--source name {name!r} is not UTF-8") from exc
 
     shuffle_seed = args.seed if args.shuffle else None
 

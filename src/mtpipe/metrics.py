@@ -5,6 +5,13 @@ BLEU uses the classic language-independent punctuation-splitting tokenizer
 character n-grams of order 1..6 with word n-grams of order 1..2 at beta=2.
 ROUGE-L is an LCS F1 over Unicode-aware word tokens, averaged per pair.
 All scores are on a 0..100 scale and a perfect match is exactly 100.
+
+Each metric runs in two steps: gather statistics over the pairs, shard by
+shard on every usable CPU (see ``shards``), then score their sum. The
+statistics are integer n-gram counts and lengths for BLEU and chrF++, and
+per-pair F1 floats for ROUGE-L. Counts add exactly and the F1 floats are
+summed in pair order in one ``sum``, so a score has the same bits however
+the pairs were cut.
 """
 
 from __future__ import annotations
@@ -13,13 +20,26 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import LengthMismatch, ToolError
+from .shards import gather
 
 
 class EmptyCorpus(ToolError):
     pass
+
+
+def _check_corpus(hyps: Sequence[str], refs: Sequence[str], metric: str) -> None:
+    if len(hyps) != len(refs):
+        raise LengthMismatch(f"{len(hyps)} hypotheses vs {len(refs)} references")
+    if not hyps:
+        raise EmptyCorpus(f"{metric} needs at least one segment pair")
+
+
+def _summed(parts: list[list[int]]) -> list[int]:
+    return [sum(column) for column in zip(*parts)]
 
 
 # --------------------------------------------------------------------------
@@ -96,6 +116,27 @@ def _add_clipped(hyp: Counter, ref: Counter, matched: list[int], offset: int = 0
             matched[offset + len(gram) - 1] += count if count < other else other
 
 
+def _bleu_stats(hyps: Sequence[str], refs: Sequence[str], max_order: int) -> list[int]:
+    """BLEU's counts over some pairs: clipped matches of each order
+    1..max_order, then hypothesis n-grams of each order, then the hypothesis
+    and reference token counts."""
+    correct = [0] * max_order
+    total = [0] * max_order
+    hyp_len = ref_len = 0
+    for hyp, ref in zip(hyps, refs):
+        hyp_tokens = tokenize_13a(hyp)
+        ref_tokens = tokenize_13a(ref)
+        hyp_len += len(hyp_tokens)
+        ref_len += len(ref_tokens)
+        _add_totals(total, len(hyp_tokens), max_order)
+        _add_clipped(
+            _ngram_counts(hyp_tokens, max_order),
+            _ngram_counts(ref_tokens, max_order),
+            correct,
+        )
+    return correct + total + [hyp_len, ref_len]
+
+
 def bleu_corpus(
     hyps: Sequence[str], refs: Sequence[str], opts: BleuOptions = BleuOptions()
 ) -> float:
@@ -107,29 +148,14 @@ def bleu_corpus(
     k-th zero-numerator order uses 1 / (2**k * denominator); an order with no
     hypothesis n-grams at all makes the score 0.
     """
-    if len(hyps) != len(refs):
-        raise LengthMismatch(f"{len(hyps)} hypotheses vs {len(refs)} references")
-    if not hyps:
-        raise EmptyCorpus("BLEU needs at least one segment pair")
-
-    correct = [0] * opts.max_order
-    total = [0] * opts.max_order
-    hyp_len = ref_len = 0
-    for hyp, ref in zip(hyps, refs):
-        hyp_tokens = tokenize_13a(hyp)
-        ref_tokens = tokenize_13a(ref)
-        hyp_len += len(hyp_tokens)
-        ref_len += len(ref_tokens)
-        _add_totals(total, len(hyp_tokens), opts.max_order)
-        _add_clipped(
-            _ngram_counts(hyp_tokens, opts.max_order),
-            _ngram_counts(ref_tokens, opts.max_order),
-            correct,
-        )
+    _check_corpus(hyps, refs, "BLEU")
+    m = opts.max_order
+    counts = _summed(gather(_bleu_stats, hyps, refs, m))
+    correct, total, (hyp_len, ref_len) = counts[:m], counts[m : 2 * m], counts[2 * m :]
 
     log_sum = 0.0
     smooth = 1.0
-    for n in range(1, opts.max_order + 1):
+    for n in range(1, m + 1):
         if total[n - 1] == 0:
             return 0.0
         if correct[n - 1] == 0:
@@ -144,7 +170,7 @@ def bleu_corpus(
     if hyp_len == 0:
         return 0.0
     brevity = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return 100.0 * brevity * math.exp(log_sum / opts.max_order)
+    return 100.0 * brevity * math.exp(log_sum / m)
 
 
 # --------------------------------------------------------------------------
@@ -167,16 +193,10 @@ def _char_ngram_counts(text: str) -> Counter:
     return counts
 
 
-def chrf_pp(hyps: Sequence[str], refs: Sequence[str]) -> float:
-    """chrF++ x100: mean F(beta=2) over 6 character orders (whitespace
-    removed) plus 2 word orders, from corpus-summed clipped counts. Orders
-    with no n-grams on either side are skipped; orders empty on one side
-    only contribute F=0."""
-    if len(hyps) != len(refs):
-        raise LengthMismatch(f"{len(hyps)} hypotheses vs {len(refs)} references")
-    if not hyps:
-        raise EmptyCorpus("chrF++ needs at least one segment pair")
-
+def _chrf_stats(hyps: Sequence[str], refs: Sequence[str]) -> list[int]:
+    """chrF++'s counts over some pairs: clipped matches, hypothesis n-grams
+    and reference n-grams, each for the 6 character orders then the 2 word
+    orders."""
     n_orders = CHRF_CHAR_ORDER + CHRF_WORD_ORDER
     matched = [0] * n_orders
     hyp_total = [0] * n_orders
@@ -197,6 +217,20 @@ def chrf_pp(hyps: Sequence[str], refs: Sequence[str]) -> float:
             matched,
             CHRF_CHAR_ORDER,
         )
+    return matched + hyp_total + ref_total
+
+
+def chrf_pp(hyps: Sequence[str], refs: Sequence[str]) -> float:
+    """chrF++ x100: mean F(beta=2) over 6 character orders (whitespace
+    removed) plus 2 word orders, from corpus-summed clipped counts. Orders
+    with no n-grams on either side are skipped; orders empty on one side
+    only contribute F=0."""
+    _check_corpus(hyps, refs, "chrF++")
+    n_orders = CHRF_CHAR_ORDER + CHRF_WORD_ORDER
+    counts = _summed(gather(_chrf_stats, hyps, refs))
+    matched, hyp_total, ref_total = (
+        counts[i * n_orders : (i + 1) * n_orders] for i in range(3)
+    )
 
     beta_sq = CHRF_BETA * CHRF_BETA
     f_scores = []
@@ -266,12 +300,15 @@ def rouge_l_f1(hyp: str, ref: str) -> float:
     return 100.0 * 2.0 * precision * recall / (precision + recall)
 
 
+def _rouge_stats(hyps: Sequence[str], refs: Sequence[str]) -> list[float]:
+    """ROUGE-L's figures over some pairs: each pair's F1, in pair order."""
+    return [rouge_l_f1(h, r) for h, r in zip(hyps, refs)]
+
+
 def rouge_l_corpus(hyps: Sequence[str], refs: Sequence[str]) -> float:
-    if len(hyps) != len(refs):
-        raise LengthMismatch(f"{len(hyps)} hypotheses vs {len(refs)} references")
-    if not hyps:
-        raise EmptyCorpus("ROUGE-L needs at least one segment pair")
-    return sum(rouge_l_f1(h, r) for h, r in zip(hyps, refs)) / len(hyps)
+    _check_corpus(hyps, refs, "ROUGE-L")
+    # One sum over every pair's F1 in pair order, as if unsharded.
+    return sum(chain.from_iterable(gather(_rouge_stats, hyps, refs))) / len(hyps)
 
 
 # --------------------------------------------------------------------------

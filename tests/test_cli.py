@@ -3,14 +3,16 @@ from __future__ import annotations
 import json
 import logging
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mtpipe import cli, pipeline, quant, tensorio as tio
+from mtpipe import cli, pipeline, quant, shards, tensorio as tio
 from mtpipe.inference import EndpointConfig
 from mtpipe.state import JobState
 from mtpipe.tensorio import Checkpoint, DType, tensor_from_f64
@@ -324,6 +326,18 @@ def test_mix_count_mismatch_exit_one(tmp_path):
     assert run_cli(["mix", "--source", f"alpha={a}=5", "--out", str(tmp_path / "o")]) == 1
 
 
+def test_mix_source_name_that_is_not_utf8_exits_two_and_keeps_the_output(tmp_path, caplog):
+    # Python decodes the argv byte 0xff to the lone surrogate U+DCFF.
+    a = tmp_path / "a.jsonl"
+    pipeline.write_records(a, [{"en": "x"}])
+    out = tmp_path / "o.jsonl"
+    out.write_text("old\n", encoding="utf-8")
+    assert run_cli(["mix", "--source", f"\udcff={a}=1", "--out", str(out)]) == 2
+    assert [r.getMessage() for r in caplog.records] == ["--source name '\\udcff' is not UTF-8"]
+    assert out.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "o.jsonl"]
+
+
 def test_judge_command_with_stub_and_idempotency(tmp_path, capsys):
     pairs_path = tmp_path / "pairs.jsonl"
     pipeline.write_records(
@@ -475,6 +489,86 @@ def test_sample_eval_deterministic_across_processes(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append((out_dir / "sample.jsonl").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+_WORDS = ("كتاب", "قلم", "مدرسة", "بيت", "شجرة", "نهر", "the", "river", "book", "3.5", "-", ",")
+
+
+def _scoring_inputs(tmp_path: Path, n_pairs: int) -> tuple[Path, Path, Path]:
+    """pairs.jsonl, outputs.txt and references.txt of ``n_pairs`` generated
+    pairs, about 128 characters a pair."""
+    rng = np.random.default_rng(n_pairs)
+    refs, outs = [], []
+    for _ in range(n_pairs):
+        ref = [_WORDS[i] for i in rng.integers(0, len(_WORDS), int(rng.integers(5, 30)))]
+        refs.append(" ".join(ref))
+        outs.append(" ".join(w for w in ref if rng.random() < 0.8) or "x")
+    pairs = tmp_path / "pairs.jsonl"
+    pipeline.write_records(pairs, ({"subject": "s", "item_id": str(i), "text": "q",
+                                    "reference": r} for i, r in enumerate(refs)))
+    outputs = tmp_path / "outputs.txt"
+    outputs.write_text("".join(o + "\n" for o in outs), encoding="utf-8")
+    references = tmp_path / "references.txt"
+    references.write_text("".join(r + "\n" for r in refs), encoding="utf-8")
+    return pairs, outputs, references
+
+
+def test_sharded_scoring_writes_the_same_bytes_as_one_process(tmp_path, monkeypatch, capsys):
+    pairs, outputs, references = _scoring_inputs(tmp_path, 900)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    written = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(shards, "_cpus", lambda: cpus)
+        runs = {
+            "report": ["report", "--pairs", str(pairs), "--outputs", str(outputs),
+                       "--name", "sys", "--out"],
+            "all": ["score", "--hyp", str(outputs), "--ref", str(references),
+                    "--metric", "all", "--report"],
+            "chrf": ["score", "--hyp", str(outputs), "--ref", str(references),
+                     "--metric", "chrf", "--report"],
+        }
+        for name, args in runs.items():
+            out = tmp_path / f"{name}-{cpus}.json"
+            assert run_cli([*args, str(out)]) == 0
+            written[name, cpus] = (out.read_bytes(), capsys.readouterr().out)
+        if cpus == 2:
+            assert len(forks) == 3 + 3 + 1  # one child per metric call
+    assert len(forks) == 7
+    for name in ("report", "all", "chrf"):
+        assert written[name, 2] == written[name, 1]
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                    reason="scoring forks only with two usable CPUs")
+@pytest.mark.skipif(not Path(f"/proc/self/task/{os.getpid()}/children").exists(),
+                    reason="needs /proc/<pid>/task/<tid>/children to see the scoring child")
+@pytest.mark.parametrize("target", ["caller", "group"])
+def test_interrupted_report_leaves_no_process_behind(tmp_path, target):
+    pairs, outputs, _ = _scoring_inputs(tmp_path, 6000)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mtpipe.cli", "report", "--pairs", str(pairs),
+         "--outputs", str(outputs), "--name", "sys"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True)
+    pgid = proc.pid
+    try:
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        deadline = time.monotonic() + 30
+        while not children.read_text().strip():  # wait for a scoring child
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        if target == "caller":
+            os.kill(proc.pid, signal.SIGINT)
+        else:
+            os.killpg(pgid, signal.SIGINT)
+        proc.wait(timeout=5)
+    finally:
+        if proc.poll() is None:
+            os.killpg(pgid, signal.SIGKILL)
+            proc.wait()
+    with pytest.raises(ProcessLookupError):
+        os.killpg(pgid, 0)
 
 
 def test_config_file_supplies_endpoint(tmp_path, capsys):

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mtpipe import metrics
+from mtpipe import metrics, shards
 
 from oracles import (
     naive_bleu,
@@ -341,3 +343,126 @@ def test_rouge_tokens_match_isalnum_runs_over_every_code_point():
     apart = " ".join(every)
     assert metrics.rouge_tokens(apart) == isalnum_runs(apart)
     assert metrics.rouge_tokens(every) == isalnum_runs(every)
+
+
+# --------------------------------------------------------------------------
+# Shards: every score has the same bits however the corpus is cut
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Shard any corpus that has a character, and record the pid of every
+    child ``os.fork`` starts."""
+    monkeypatch.setattr(shards, "_MIN_SHARD_CHARS", 1)
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def all_scores(hyps, refs, opts=metrics.BleuOptions()):
+    return (metrics.evaluate_pairs(zip(hyps, refs)), metrics.bleu_corpus(hyps, refs, opts),
+            metrics.chrf_pp(hyps, refs), metrics.rouge_l_corpus(hyps, refs))
+
+
+def assert_sharding_keeps_scores(monkeypatch, cpus, hyps, refs, opts=metrics.BleuOptions()):
+    monkeypatch.setattr(shards, "_cpus", lambda: 1)
+    want = all_scores(hyps, refs, opts)
+    monkeypatch.setattr(shards, "_cpus", lambda: cpus)
+    assert all_scores(hyps, refs, opts) == want
+
+
+def test_sharded_scores_equal_unsharded_on_pinned_pairs(monkeypatch, forks):
+    hyps, refs = map(list, zip(*PINNED_PAIRS * 7))
+    assert_sharding_keeps_scores(monkeypatch, 4, hyps, refs)
+    # Three children for each of the six metric calls.
+    assert len(forks) == 6 * 3
+
+
+def test_sharded_scores_equal_unsharded_on_random_corpora(monkeypatch, forks, rng):
+    # evaluate_pairs' fields are bleu_corpus, rouge_l_corpus and chrf_pp of
+    # the corpus, so one call compares all three at a third of the forks.
+    for _ in range(200):
+        hyps, refs = random_corpus(rng, max_segments=9)
+        pairs = list(zip(hyps, refs))
+        monkeypatch.setattr(shards, "_cpus", lambda: 1)
+        want = metrics.evaluate_pairs(pairs)
+        monkeypatch.setattr(shards, "_cpus", lambda: int(rng.integers(2, 4)))
+        assert metrics.evaluate_pairs(pairs) == want
+    assert forks
+
+
+def test_more_cpus_than_pairs_gives_one_shard_per_pair(monkeypatch, forks):
+    hyps = ["the cat sat", "a b c d e f", "x y z w"]
+    refs = ["a cat sat x", "a b d e f", "y z w v"]
+    assert_sharding_keeps_scores(monkeypatch, 16, hyps, refs)
+    assert shards._bounds(hyps, refs) == [0, 1, 2, 3]
+    assert len(forks) == 6 * 2
+
+
+def test_sharded_scores_with_empty_segments_on_either_side(monkeypatch, forks):
+    hyps = ["", "a b c d", "", "word", "صباح الخير يا صديقي", ""]
+    refs = ["a b c", "", "", "word", "صباح الخير", "only the reference"]
+    assert_sharding_keeps_scores(monkeypatch, 3, hyps, refs)
+    assert_sharding_keeps_scores(monkeypatch, 3, [""] * 5, refs[:5])
+    assert_sharding_keeps_scores(monkeypatch, 3, refs[:5], [""] * 5)
+
+
+@pytest.mark.parametrize("max_order", [1, 4, 9])
+@pytest.mark.parametrize("smoothing", ["exp", "none"])
+def test_sharded_bleu_equals_unsharded_for_every_option(monkeypatch, forks, rng, max_order,
+                                                        smoothing):
+    opts = metrics.BleuOptions(max_order=max_order, smoothing=smoothing)
+    for _ in range(10):
+        hyps, refs = random_corpus(rng, max_segments=8)
+        monkeypatch.setattr(shards, "_cpus", lambda: 1)
+        want = metrics.bleu_corpus(hyps, refs, opts)
+        monkeypatch.setattr(shards, "_cpus", lambda: 3)
+        assert metrics.bleu_corpus(hyps, refs, opts) == want
+    assert forks
+
+
+def test_a_failed_child_has_its_shard_scored_by_the_caller(monkeypatch, forks):
+    monkeypatch.setattr(shards, "_cpus", lambda: 1)
+    want = metrics.evaluate_pairs(PINNED_PAIRS * 3)
+    caller = os.getpid()
+    for name in ("_bleu_stats", "_chrf_stats", "_rouge_stats"):
+        def stats(*args, real=getattr(metrics, name)):
+            if os.getpid() != caller:
+                os._exit(1)
+            return real(*args)
+        monkeypatch.setattr(metrics, name, stats)
+    monkeypatch.setattr(shards, "_cpus", lambda: 3)
+    assert metrics.evaluate_pairs(PINNED_PAIRS * 3) == want
+    assert len(forks) == 3 * 2
+
+
+def test_no_fork_while_another_thread_is_alive(monkeypatch, forks):
+    monkeypatch.setattr(shards, "_cpus", lambda: 3)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        report = metrics.evaluate_pairs(PINNED_PAIRS * 3)
+    finally:
+        release.set()
+        other.join()
+    assert forks == []
+    assert metrics.evaluate_pairs(PINNED_PAIRS * 3) == report
+    assert len(forks) == 3 * 2
+
+
+def test_every_child_is_reaped(monkeypatch, forks):
+    monkeypatch.setattr(shards, "_cpus", lambda: 3)
+    metrics.evaluate_pairs(PINNED_PAIRS * 3)
+    assert forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
