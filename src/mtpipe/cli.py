@@ -49,7 +49,7 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     values = {}
-    for line_no, line in enumerate(_read_lines(path), 1):
+    for line_no, line in enumerate(pipeline.read_lines(path), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -156,39 +156,16 @@ def cmd_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _split_lines(text: str) -> list[str]:
-    """One segment per line. Only "\n" ends a line, and one "\r" before it is
-    dropped, so U+2028, U+0085, form feeds and the other Unicode line breaks
-    stay inside a segment. A final newline adds no empty segment."""
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return [line[:-1] if line.endswith("\r") else line for line in lines]
-
-
-def _read_lines(path: str | None) -> list[str]:
-    """The lines of file ``path``, or of standard input's bytes when it is
-    None, decoded as strict UTF-8 whatever the locale."""
-    try:
-        text = (Path(path).read_bytes() if path else sys.stdin.buffer.read()).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        where = path or "<stdin>"
-        raise ToolError(f"{where}: not UTF-8 at byte {exc.start}: {exc.reason}") from exc
-    return _split_lines(text)
-
-
 def cmd_score(args: argparse.Namespace) -> int:
-    hyps = _read_lines(args.hyp)
-    refs = _read_lines(args.ref)
+    hyps = list(pipeline.read_lines(args.hyp))
+    refs = list(pipeline.read_lines(args.ref))
     if len(hyps) != len(refs):
         raise metrics.LengthMismatch(
             f"{args.hyp} has {len(hyps)} lines, {args.ref} has {len(refs)}"
         )
-    if not hyps:
-        raise metrics.EmptyCorpus("input files contain no segments")
 
     if args.metric == "all":
-        report = metrics.evaluate_pairs(list(zip(hyps, refs)))
+        report = metrics.evaluate_pairs(zip(hyps, refs))
         print(
             f"BLEU {report.bleu:.1f} ROUGE-L {report.rouge_l:.1f} "
             f"chrF++ {report.chrf_pp:.1f} n={report.n_pairs}"
@@ -209,10 +186,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_tokenize(args: argparse.Namespace) -> int:
-    out = [" ".join(metrics.tokenize_13a(line)) for line in _read_lines(args.in_path)]
+    out = [" ".join(metrics.tokenize_13a(line)) for line in pipeline.read_lines(args.in_path)]
     if args.out:
-        with atomic_write(args.out) as fh:
-            fh.writelines(s + "\n" for s in out)
+        pipeline.write_lines(args.out, out)
     else:
         for s in out:
             print(s)
@@ -259,7 +235,8 @@ def cmd_pair(args: argparse.Namespace) -> int:
     def work() -> None:
         records = pipeline.load_instruction_records(args.records)
         n = pipeline.write_bilingual_tuples(
-            args.out, records, _read_lines(args.instr_ar), _read_lines(args.resp_ar)
+            args.out, records, list(pipeline.read_lines(args.instr_ar)),
+            list(pipeline.read_lines(args.resp_ar)),
         )
         log.info("paired %d records -> %s", n, args.out)
 
@@ -325,7 +302,7 @@ def cmd_sample_eval(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     pairs = evalset.load_aligned_pairs(args.pairs)
-    outputs = _read_lines(args.outputs)
+    outputs = list(pipeline.read_lines(args.outputs))
     report, row = evalset.build_report(pairs, outputs, args.name)
     print(row)
     if args.out:

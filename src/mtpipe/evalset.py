@@ -13,9 +13,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence, TypeVar
 
-from . import pipeline
+from . import metrics, pipeline
 from .errors import LengthMismatch, ToolError
-from .metrics import MetricReport, evaluate_pairs
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -111,24 +110,24 @@ def align_references(
     return pairs, misses
 
 
-def render_report_row(system_name: str, report: MetricReport) -> str:
+def render_report_row(system_name: str, report: metrics.MetricReport) -> str:
     """One table row: system name then BLEU, ROUGE-L, chrF++ at one decimal."""
     return f"{system_name} {report.bleu:.1f} {report.rouge_l:.1f} {report.chrf_pp:.1f}"
 
 
-def report_to_json(system_name: str, report: MetricReport) -> str:
+def report_to_json(system_name: str, report: metrics.MetricReport) -> str:
     """Full-precision machine-readable form of a report."""
     return json.dumps({"system": system_name, **asdict(report)}, indent=2, sort_keys=True)
 
 
 def build_report(
     pairs: Sequence[AlignedPair], outputs: Sequence[str], system_name: str
-) -> tuple[MetricReport, str]:
+) -> tuple[metrics.MetricReport, str]:
     """Score system outputs against the aligned references and render the
     one-decimal table row."""
     if len(outputs) != len(pairs):
         raise LengthMismatch(f"{len(outputs)} outputs vs {len(pairs)} pairs")
-    report = evaluate_pairs(
+    report = metrics.evaluate_pairs(
         [(output, pair.ar_reference) for output, pair in zip(outputs, pairs)]
     )
     return report, render_report_row(system_name, report)

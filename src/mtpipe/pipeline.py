@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
@@ -286,14 +288,39 @@ def dumps_record(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
-def write_records(path: str | Path, records: Iterable[dict]) -> int:
+def write_lines(path: str | Path, lines: Iterable[str]) -> int:
+    """Write each string as one "\n"-ended line through ``atomic_write``;
+    returns the number of lines."""
     count = 0
     with atomic_write(path) as fh:
-        for record in records:
-            fh.write(dumps_record(record))
+        for line in lines:
+            fh.write(line)
             fh.write("\n")
             count += 1
     return count
+
+
+def write_records(path: str | Path, records: Iterable[dict]) -> int:
+    return write_lines(path, map(dumps_record, records))
+
+
+def read_lines(path: str | Path | None, source: str | None = None) -> Iterator[str]:
+    """Stream the lines of file ``path``, or of standard input's bytes when it
+    is None, decoded as strict UTF-8 whatever the locale. Only "\n" ends a
+    line, and one "\r" before it is dropped, so U+2028, U+0085, form feeds and
+    the other Unicode line breaks stay inside a line; a final newline adds no
+    empty line. A byte that is not UTF-8 is a MalformedLine naming ``source``
+    (by default the path, or ``<stdin>``) and the line."""
+    label = source if source is not None else "<stdin>" if path is None else str(path)
+    with open(path, "rb") if path is not None else nullcontext(sys.stdin.buffer) as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.rstrip(b"\n").decode("utf-8")  # a "\n" can only end raw
+            except UnicodeDecodeError as exc:
+                raise MalformedLine(
+                    label, line_no, f"not UTF-8 at byte {exc.start}: {exc.reason}"
+                ) from exc
+            yield line[:-1] if line.endswith("\r") else line
 
 
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # \ud800 to \udfff
@@ -305,42 +332,36 @@ def read_records(
     required: Sequence[str] = (),
     text: Sequence[str] = (),
 ) -> Iterator[dict]:
-    """Stream one JSON object per line; malformed lines (a string escape that
-    is a lone surrogate too), objects lacking a ``required`` field and
-    ``text`` fields that are present but not strings are an error."""
+    """Stream one JSON object per line of ``read_lines``; blank or malformed
+    lines (a string escape that is a lone surrogate too), objects lacking a
+    ``required`` field and ``text`` fields that are present but not strings
+    are an error."""
     label = source if source is not None else str(path)
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
+    for line_no, line in enumerate(read_lines(path, label), start=1):
+        if not line:
+            raise MalformedLine(label, line_no, "blank line")
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedLine(label, line_no, f"invalid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise MalformedLine(label, line_no, "line is not an object")
+        if _SURROGATE_ESCAPE.search(line):  # only an escape can make a lone surrogate
             try:
-                line = raw.decode("utf-8").rstrip("\r\n")
-            except UnicodeDecodeError as exc:
+                dumps_record(record).encode("utf-8")
+            except UnicodeEncodeError as exc:
                 raise MalformedLine(
-                    label, line_no, f"not UTF-8 at byte {exc.start}: {exc.reason}"
+                    label, line_no, f"not encodable as UTF-8: {exc.reason}"
                 ) from exc
-            if not line:
-                raise MalformedLine(label, line_no, "blank line")
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLine(label, line_no, f"invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise MalformedLine(label, line_no, "line is not an object")
-            if _SURROGATE_ESCAPE.search(line):  # only an escape can make a lone surrogate
-                try:
-                    dumps_record(record).encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    raise MalformedLine(
-                        label, line_no, f"not encodable as UTF-8: {exc.reason}"
-                    ) from exc
-            for name in required:
-                if name not in record:
-                    raise MalformedLine(label, line_no, f"missing field {name!r}")
-            for name in text:
-                value = record.get(name, "")
-                if not isinstance(value, str):
-                    kind = "null" if value is None else type(value).__name__
-                    raise MalformedLine(label, line_no, f"field {name!r} is {kind}, not a string")
-            yield record
+        for name in required:
+            if name not in record:
+                raise MalformedLine(label, line_no, f"missing field {name!r}")
+        for name in text:
+            value = record.get(name, "")
+            if not isinstance(value, str):
+                kind = "null" if value is None else type(value).__name__
+                raise MalformedLine(label, line_no, f"field {name!r} is {kind}, not a string")
+        yield record
 
 
 def load_parallel_pairs(path: str | Path) -> list[tuple[str, str]]:
@@ -474,8 +495,4 @@ def mix_corpora(
 
         lines = shuffled(lines, shuffle_seed)
 
-    with atomic_write(out_path) as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
-    return MixManifest(counts=tuple(counts), total=len(lines))
+    return MixManifest(counts=tuple(counts), total=write_lines(out_path, lines))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import logging
 import os
@@ -241,7 +242,7 @@ def test_tokenize_stdin_is_strict_utf8_whatever_the_locale(tmp_path, io_encoding
 
     proc = subprocess.run(command, input=b"abc\xff", capture_output=True, env=env)
     assert proc.returncode == 1
-    assert b"<stdin>: not UTF-8 at byte 3" in proc.stderr
+    assert b"<stdin> line 1: not UTF-8 at byte 3" in proc.stderr
     assert b"Traceback" not in proc.stderr
 
 
@@ -829,13 +830,66 @@ def test_report_non_utf8_pairs_is_malformed_line(tmp_path, caplog):
     assert "Traceback" not in caplog.text
 
 
-def test_score_non_utf8_hypothesis_exits_one(tmp_path, caplog):
+@pytest.mark.parametrize("command", ["score --hyp", "tokenize --in", "tokenize stdin",
+                                     "pair --instr-ar", "report --outputs", "--config",
+                                     "filter-code --in"])
+def test_a_non_utf8_line_is_one_error_naming_its_file_and_line(
+    tmp_path, monkeypatch, caplog, command
+):
+    # Every text and JSON-lines input is read by one rule, so each names line 2.
+    bad, good, out = tmp_path / "bad.txt", tmp_path / "good.txt", tmp_path / "out"
+    bad.write_bytes(b"a b\n\xff c\n")
+    good.write_text("a b\nc\n", encoding="utf-8")
+    label = str(bad)
+    if command == "score --hyp":
+        argv = ["score", "--hyp", str(bad), "--ref", str(good), "--report", str(out)]
+    elif command == "tokenize --in":
+        argv = ["tokenize", "--in", str(bad), "--out", str(out)]
+    elif command == "tokenize stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bad.read_bytes())))
+        argv, label = ["tokenize", "--out", str(out)], "<stdin>"
+    elif command == "pair --instr-ar":
+        records = tmp_path / "records.jsonl"
+        pipeline.write_records(records, [{"instruction": "a", "response": "b"}] * 2)
+        argv = ["pair", "--records", str(records), "--instr-ar", str(bad),
+                "--resp-ar", str(good), "--out", str(out)]
+    elif command == "report --outputs":
+        en, ar = _eval_inputs(tmp_path)
+        assert run_cli(["sample-eval", "--en", str(en), "--ar", str(ar), "--n", "2",
+                        "--seed", "1", "--out", str(tmp_path / "ev")]) == 0
+        argv = ["report", "--pairs", str(tmp_path / "ev" / "pairs.jsonl"),
+                "--outputs", str(bad), "--name", "x", "--out", str(out)]
+    elif command == "--config":
+        bad.write_bytes(b"base_url=http://127.0.0.1:1\nmodel=\xff\n")
+        pairs = tmp_path / "pairs.jsonl"
+        pipeline.write_records(pairs, [{"ar": "أ", "en": "a"}])
+        argv = ["--config", str(bad), "judge", "--in", str(pairs), "--accepted", str(out),
+                "--state", str(tmp_path / "s")]
+    else:
+        bad.write_bytes(b'{"instruction": "a", "response": "b"}\n'
+                        b'{"instruction": "\xff", "response": "b"}\n')
+        argv = ["filter-code", "--in", str(bad), "--out", str(out)]
+    files = sorted(tmp_path.rglob("*"))
+    caplog.clear()
+    assert run_cli(argv) == 1
+    [record] = caplog.records
+    assert record.getMessage().startswith(f"{label} line 2: not UTF-8 at byte ")
+    assert "\n" not in record.getMessage()
+    assert sorted(tmp_path.rglob("*")) == files
+
+
+@pytest.mark.parametrize("metric", ["all", "bleu", "chrf", "rouge"])
+def test_score_on_two_empty_files_is_one_error(tmp_path, caplog, capsys, metric):
     hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
-    hyp.write_bytes(b"a b\n\xff c\n")
-    ref.write_text("a b\nc\n", encoding="utf-8")
-    assert run_cli(["score", "--hyp", str(hyp), "--ref", str(ref)]) == 1
-    assert f"{hyp}: not UTF-8 at byte 4" in caplog.text
-    assert "Traceback" not in caplog.text
+    hyp.write_bytes(b"")
+    ref.write_bytes(b"")
+    code = run_cli(["score", "--hyp", str(hyp), "--ref", str(ref), "--metric", metric,
+                    "--report", str(tmp_path / "scores.json")])
+    assert code == 1
+    [record] = caplog.records
+    assert "\n" not in record.getMessage()
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "scores.json").exists()
 
 
 def test_filter_code_null_response_names_its_line(tmp_path, caplog):
@@ -915,7 +969,7 @@ def test_config_non_utf8_is_one_line_error(tmp_path, caplog):
                     "--accepted", str(tmp_path / "a"), "--state", str(tmp_path / "s")])
     assert code == 1
     [record] = caplog.records
-    assert record.getMessage().startswith(f"{config}: not UTF-8 at byte 34")
+    assert record.getMessage().startswith(f"{config} line 2: not UTF-8 at byte 6")
     assert "\n" not in record.getMessage()
 
 

@@ -80,6 +80,37 @@ def test_corpus_and_eval_commands_load_no_numpy_or_http(tmp_path):
     assert loaded_heavy == []
 
 
+_SAMPLING_CHILD = """
+import json, sys, types
+from pathlib import Path
+from mtpipe.cli import main
+
+work = Path(sys.argv[1])
+def write(name, rows):
+    (work / name).write_text("".join(json.dumps(r) + "\\n" for r in rows), encoding="utf-8")
+
+write("a.jsonl", [{"en": f"e {i}", "ar": f"a {i}"} for i in range(6)])
+write("en.jsonl", [{"subject": "s", "item_id": str(i), "text": f"q {i}"} for i in range(8)])
+write("ar.jsonl", [{"subject": "s", "item_id": str(i), "text": f"a {i}"} for i in range(8)])
+codes = [
+    main(["mix", "--source", f"a={work / 'a.jsonl'}=6", "--shuffle", "--seed", "3",
+          "--out", str(work / "mix.jsonl")]),
+    main(["sample-eval", "--en", str(work / "en.jsonl"), "--ar", str(work / "ar.jsonl"),
+          "--n", "4", "--seed", "1", "--out", str(work / "eval")]),
+]
+run = [m for m in ("evalset", "metrics", "shards")
+       if type(sys.modules["mtpipe." + m]) is types.ModuleType]
+print(json.dumps([codes, run]))
+"""
+
+
+def test_sampling_and_shuffling_leave_the_metrics_unloaded(tmp_path):
+    # A lazy module stays of the LazyLoader's class until its code first runs.
+    codes, run = _child(_SAMPLING_CHILD, str(tmp_path))
+    assert codes == [0, 0]
+    assert run == ["evalset"]
+
+
 @pytest.mark.parametrize("workload", ["ckpt", "corpus", "eval"])
 def test_a_traced_benchmark_run_of_one_workload_succeeds(workload):
     proc = subprocess.run(
