@@ -199,13 +199,17 @@ class Codec:
         self._bytes = np.empty(4 * n, dtype=np.uint8)
         self._fp8 = fp8.encode_scratch(n)
 
-    def lookup(self, table: np.ndarray, codes: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """table[codes] into ``out`` for uint8 codes and a 256-entry table."""
-        # np.take copies uint8 indices to intp, and in its default mode="raise"
-        # it buffers ``out`` as well; "clip" cannot clip a byte's index.
+    def index(self, codes: np.ndarray) -> np.ndarray:
+        """Unsigned integer codes widened to intp, ready to index a table."""
         index = self._index[: codes.size]
         np.copyto(index, codes)
-        return np.take(table, index, out=out, mode="clip")
+        return index
+
+    def lookup(self, table: np.ndarray, codes: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """table[codes] into ``out`` for unsigned codes that all index ``table``."""
+        # np.take would copy narrow indices to intp, and in its default
+        # mode="raise" it buffers ``out`` as well; "clip" clips no valid index.
+        return np.take(table, self.index(codes), out=out, mode="clip")
 
     @np.errstate(invalid="ignore")  # a signalling NaN widens to NaN; that is no error
     def decode(self, piece, dtype: DType) -> np.ndarray:

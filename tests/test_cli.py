@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,44 @@ def test_quantize_in_place_matches_a_separate_output(tmp_path, rng, capsys):
     assert capsys.readouterr().out == audit
     assert src.read_bytes() == out.read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == [out.name, src.name]
+
+
+def test_a_tensor_too_small_for_a_float32_scale_quantizes_merges_and_validates(
+        tmp_path, capsys):
+    # amax / 448 rounds to 0 in float32 below 448 * 2**-150; the scale is then
+    # the least positive float32, 2**-149, and the audit prints that scale.
+    original = Checkpoint(tensors={
+        "tiny": tensor_from_f64(np.array([1e-44, 0.0, -5e-45]), DType.F32, (3,))})
+    src, out = tmp_path / "tiny.safetensors", tmp_path / "tiny-fp8.safetensors"
+    tio.write_checkpoint(original, src)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["quantize", "--in", str(src), "--out", str(out)]) == 0
+        assert run_cli(["merge", "--a", str(out), "--b", str(out),
+                        "--out", str(tmp_path / "merged.safetensors")]) == 0
+        quantized = tio.read_checkpoint(out)
+        (audit,) = quant.validate_quantization(original, quantized, quant.QuantPolicy())
+    assert quant.read_scale(quantized, "tiny.scale") == audit.scale == 2.0**-149
+    assert quantized.tensors["tiny"].data == bytes([0x4E, 0x00, 0xC8])  # 7.0, 0.0 and -4.0
+    assert audit.max_rel_err == 0.0
+    assert capsys.readouterr().out == "tiny amax=9.80909e-45 scale=1.4013e-45 max_rel_err=0.000e+00\n"
+
+
+def test_requantizing_with_an_8bit_tensor_skipped_keeps_its_scale_as_is(tmp_path, rng, capsys):
+    src, once, twice = (tmp_path / f"{n}.safetensors" for n in ("model", "once", "twice"))
+    _write_checkpoint(src, rng)
+    assert run_cli(["quantize", "--in", str(src), "--out", str(once), "--skip", "v"]) == 0
+    capsys.readouterr()
+    assert run_cli(["quantize", "--in", str(once), "--out", str(twice), "--skip", "w"]) == 0
+    assert sorted(capsys.readouterr().out.splitlines())[1:] == ["w skipped", "w.scale skipped"]
+    first, second = tio.read_checkpoint(once), tio.read_checkpoint(twice)
+    assert set(second.tensors) == {"w", "w.scale", "v", "v.scale"}
+    assert all(second.tensors[n] == first.tensors[n] for n in ("w", "w.scale"))
+    assert second.tensors["v"].dtype is DType.F8_E4M3
+    audits = quant.validate_quantization(first, second, quant.QuantPolicy(skip_patterns=("w",)))
+    assert [a.skipped for a in audits] == [name != "v" for name in first.tensors]
+    assert run_cli(["merge", "--a", str(twice), "--b", str(twice),
+                    "--out", str(tmp_path / "merged.safetensors")]) == 0
 
 
 def test_score_identical_files(tmp_path, capsys):

@@ -99,28 +99,39 @@ def test_resume_peak_memory_grows_by_less_than_one_and_a_half_journals(tmp_path)
     assert peak - baseline < 1.5 * journal.stat().st_size
 
 
-BIG_ELEMS = 8 << 20  # one float32 tensor of 32 MB
+BIG_ELEMS = 8 << 20  # one tensor of 8M elements: 32 MB of float32, 16 MB of BF16
 
 
-def _write_big(path: Path, seed: int) -> None:
+def _write_big(path: Path, seed: int, dtype: tio.DType) -> None:
     values = np.random.default_rng(seed).standard_normal(BIG_ELEMS).astype("<f4")
+    if dtype is tio.DType.BF16:
+        values = (values.view("<u4") >> 16).astype("<u2")
     tio.write_checkpoint(tio.Checkpoint(
-        {"big": tio.Tensor(tio.DType.F32, (BIG_ELEMS,), values.tobytes())}), path)
+        {"big": tio.Tensor(dtype, (BIG_ELEMS,), values.tobytes())}), path)
 
 
-def test_merge_and_quantize_of_one_big_tensor_grow_by_less_than_a_quarter_input(tmp_path):
+def _merge_and_quantize_of_one_big_tensor(tmp_path: Path, dtype: tio.DType) -> None:
     a, b = tmp_path / "a.safetensors", tmp_path / "b.safetensors"
-    _write_big(a, 1)
-    _write_big(b, 2)
+    _write_big(a, 1, dtype)
+    _write_big(b, 2, dtype)
     baseline = _peak_bytes([], tmp_path, LOADED_CHILD)
     merge = _peak_bytes(["merge", "--a", str(a), "--b", str(b), "--out", "m.safetensors"],
                         tmp_path, LOADED_CHILD)
     quantize = _peak_bytes(["quantize", "--in", str(a), "--out", "q.safetensors"],
                            tmp_path, LOADED_CHILD)
     with tio.open_checkpoint(tmp_path / "m.safetensors") as merged:
-        assert merged.tensors == {"big": tio.TensorInfo(tio.DType.F32, (BIG_ELEMS,))}
+        assert merged.tensors == {"big": tio.TensorInfo(dtype, (BIG_ELEMS,))}
     with tio.open_checkpoint(tmp_path / "q.safetensors") as quantized:
         assert set(quantized.tensors) == {"big", "big.scale"}
     quarter = a.stat().st_size / 4
     assert merge - baseline < quarter, (merge - baseline) / 2**20
     assert quantize - baseline < quarter, (quantize - baseline) / 2**20
+
+
+def test_merge_and_quantize_of_one_big_tensor_grow_by_less_than_a_quarter_input(tmp_path):
+    _merge_and_quantize_of_one_big_tensor(tmp_path, tio.DType.F32)
+
+
+def test_merge_and_quantize_of_one_big_bf16_tensor_grow_by_less_than_a_quarter_input(tmp_path):
+    # BF16 quantizes through the tables over its bit patterns.
+    _merge_and_quantize_of_one_big_tensor(tmp_path, tio.DType.BF16)

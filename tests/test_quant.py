@@ -212,3 +212,67 @@ def test_fused_validated_and_two_pass_audits_agree_across_chunks(rng):
         amax, max_rel = naive_audit(values, codes, scale)
         oracle[name] = quant.TensorAudit(name, amax, scale, max_rel)
     assert fused == {a.name: a for a in validated} == oracle
+
+
+def _raw16(patterns, dtype: DType) -> Tensor:
+    bits = np.asarray(patterns, dtype="<u2")
+    return Tensor(dtype, (bits.size,), bits.tobytes())
+
+
+def _bits16(values, dtype: DType) -> np.ndarray:
+    """Bit patterns of float values that the 16-bit dtype holds exactly."""
+    if dtype is DType.F16:
+        return np.asarray(values, dtype="<f2").view("<u2")
+    return (np.asarray(values, dtype="<f4").view("<u4") >> 16).astype("<u2")
+
+
+@pytest.mark.parametrize("dtype", [DType.BF16, DType.F16], ids=lambda d: d.value)
+def test_every_finite_16bit_pattern_quantizes_and_audits_as_the_chunk_kernels_do(rng, dtype):
+    # Codes and errors of a 16-bit tensor come from tables over its bit
+    # patterns; the audit of validate_quantization runs the chunk kernels on
+    # every element. "all" holds every finite pattern (both zeros, every
+    # subnormal and the largest finite value) three times, shuffled across
+    # chunks. "small" follows it, so its table entries above its own top
+    # pattern are stale; "zeros" has top pattern 0 and scale 1.
+    every = np.arange(1 << 16, dtype="<u2")
+    finite = every[np.isfinite(tensor_as_f64(_raw16(every, dtype)))]
+    assert finite.size == (65280 if dtype is DType.BF16 else 63488)
+    tensors = {
+        "all": _raw16(rng.permutation(np.tile(finite, 3)), dtype),
+        "small": tensor_from_f64(rng.standard_normal(CHUNK_ELEMS + 7) * 1e-3, dtype,
+                                 (CHUNK_ELEMS + 7,)),
+        "zeros": _raw16([0x0000, 0x8000, 0x0000], dtype),
+    }
+    original = Checkpoint(tensors=tensors)
+    stream, audits = quant.quantize_stream(original, quant.QuantPolicy())
+    quantized = tio.collect(stream)
+    validated = quant.validate_quantization(original, quantized, quant.QuantPolicy())
+    assert audits == {a.name: a for a in validated}
+    for name, t in tensors.items():
+        values = tensor_as_f64(t)
+        top = float(np.abs(values).max())
+        scale = float(np.float32(top / fp8.E4M3_MAX)) if top else 1.0
+        assert quant.read_scale(quantized, f"{name}.scale") == scale
+        codes = np.frombuffer(quantized.tensors[name].data, dtype=np.uint8)
+        assert codes.tobytes() == fp8.encode_array(values / scale).tobytes()
+        amax, max_rel = naive_audit(values, codes, scale)
+        assert audits[name] == quant.TensorAudit(name, amax, scale, max_rel)
+    assert quantized.tensors["zeros"].data == bytes([0x00, 0x80, 0x00])
+
+
+@pytest.mark.parametrize("dtype", [DType.BF16, DType.F16], ids=lambda d: d.value)
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -math.nan])
+def test_a_16bit_tensor_holding_nan_or_inf_is_audited_skipped_and_refused_quantized(
+        dtype, bad):
+    t = _raw16(_bits16([1.5, -3.0, bad, 0.25], dtype), dtype)
+    original = Checkpoint(tensors={"w": t})
+    amax = float(np.abs(tensor_as_f64(t)).max())
+    skip = quant.QuantPolicy(skip_patterns=("w",))
+    stream, audits = quant.quantize_stream(original, skip)
+    out = tio.collect(stream)
+    (validated,) = quant.validate_quantization(original, out, skip)
+    for audit in (audits["w"], validated):
+        assert audit.skipped and repr(audit.amax) == repr(amax) == repr(abs(bad))
+    assert out.tensors == original.tensors
+    with pytest.raises(fp8.NonFiniteInput, match="'w': scale computation requires finite"):
+        quant.quantize_checkpoint(original, quant.QuantPolicy())
