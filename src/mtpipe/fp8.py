@@ -3,13 +3,13 @@
 The format has no infinities. The two codes with exponent field 1111 and
 mantissa 111 are NaN; the largest finite magnitude is 448 (exponent 1111,
 mantissa 110). Exponent field 0 holds signed zero and subnormals with a step
-of 2**-9.
+of 2**-9. compute_scale is the one rule that maps a tensor's largest
+magnitude to the scale its codes are stored with (see quant).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -100,15 +100,12 @@ def encode_e4m3(x: float) -> int:
     return int(encode_array(np.array([x]))[0])
 
 
-def compute_scale(values: Sequence[float] | np.ndarray) -> float:
-    """Dynamic per-tensor scale: max(|v|) / 448, or 1.0 for all-zero input.
-
-    Raises NonFiniteInput if any value is NaN or infinite.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size and not np.isfinite(arr).all():
-        raise NonFiniteInput("scale computation requires finite values")
-    amax = float(np.max(np.abs(arr))) if arr.size else 0.0
+def compute_scale(amax: float, name: str) -> float:
+    """The stored scale of tensor ``name`` whose largest magnitude is amax:
+    amax / 448 in float32, but at least 2**-149, the least positive float32;
+    1.0 for an all-zero tensor. NonFiniteInput if amax is NaN or infinite."""
+    if not math.isfinite(amax):
+        raise NonFiniteInput(f"{name!r}: scale computation requires finite values")
     if amax == 0.0:
         return 1.0
-    return amax / E4M3_MAX
+    return max(float(np.float32(amax / E4M3_MAX)), 2.0**-149)

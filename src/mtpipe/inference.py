@@ -67,12 +67,11 @@ class EndpointConfig:
             raise ValueError(bad_url)
         if not math.isfinite(self.temperature):
             raise ValueError("temperature must be finite")
-        if not self.timeout > 0:  # NaN too
-            raise ValueError("timeout must be positive")
+        for name in ("timeout", "backoff_base"):  # no socket timeout or wait is longer
+            if not 0 < getattr(self, name) <= threading.TIMEOUT_MAX:  # NaN too
+                raise ValueError(f"{name} must be positive and at most {threading.TIMEOUT_MAX} s")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if not self.backoff_base > 0:
-            raise ValueError("backoff_base must be positive")
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,8 @@ def chat_complete(cfg: EndpointConfig, prompt: str) -> str:
                 last_cause = ToolError(f"HTTP {status}: {text}")
             if attempt < cfg.max_retries:
                 delay = cfg.backoff_base * (2**attempt)
-                if stop.wait(delay + random.uniform(0.0, delay / 2.0)):
+                delay += random.uniform(0.0, delay / 2.0)
+                if stop.wait(min(delay, threading.TIMEOUT_MAX)):
                     raise ExhaustedRetries(
                         f"batch stopped after {attempt + 1} attempts: {last_cause}"
                     ) from last_cause

@@ -2,7 +2,9 @@
 
 Each pair of matching tensors is flattened, interpolated along the great
 circle between the two element vectors, and re-encoded. All interpolation
-arithmetic runs at float64 regardless of storage dtype.
+arithmetic runs at float64 regardless of storage dtype. An 8-bit tensor is
+read through quant.restore_table, the table dequantize_fp8 uses, so merging
+a quantized checkpoint gives the bytes that merging its dequantization does.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import ShapeMismatch, ToolError
-from .quant import NameCollision, read_scale, scale_companions
+from .quant import NameCollision, read_scale, restore_table, scale_companions
 from .tensorio import (
     CHUNK_ELEMS,
     Checkpoint,
@@ -159,8 +161,9 @@ def merge_stream(x, y, spec: MergeSpec) -> TensorStream:
 
     ``x`` and ``y`` may be any sources. Every check on missing names, shapes
     and scale values runs before this returns. Matching tensors must agree on
-    shape; 8-bit ones are dequantized by their scales and merge to float32
-    without a ``.scale``.
+    shape; 8-bit ones are dequantized through restore_table (Overflow when
+    produced, if the table overflows) and merge to float32 without a
+    ``.scale``.
     Each pair takes two passes over its payload chunks: the first sums the
     dot products (see dot_products), the second decodes the chunks again,
     combines and encodes them. Tensors present in only one input are an
@@ -201,14 +204,12 @@ def merge_stream(x, y, spec: MergeSpec) -> TensorStream:
 
 
 def _values(src, name: str, scale: float, codec: Codec) -> Iterator[np.ndarray]:
-    """A tensor's values at float64 times its scale, a chunk at a time in
-    ``codec``'s buffer."""
+    """A tensor's values at float64, 8-bit codes restored by restore_table at
+    ``scale``, a chunk at a time in ``codec``'s buffer."""
     dtype = src.tensors[name].dtype
+    table = restore_table(scale, name) if dtype is DType.F8_E4M3 else None
     for piece in src.pieces(name):
-        values = codec.decode(piece, dtype)
-        if scale != 1.0:
-            values *= scale
-        yield values
+        yield codec.decode(piece, dtype, table)
 
 
 def _merged(name: str, a: Callable[[], Iterator[np.ndarray]],

@@ -2,9 +2,10 @@
 
 Each quantized tensor is stored as its 8-bit codes under the original name
 plus a scalar float32 companion named ``<name>.scale``, so the container
-format stays unchanged. The scale is ``amax / 448`` in float32 (1.0 for
-all-zero tensors, and at least 2**-149, the least positive float32), which
-makes the largest-magnitude element exactly representable.
+format stays unchanged. A tensor's amax is the value of its largest
+magnitude bit pattern, whatever its dtype; fp8.compute_scale maps it to the
+scale, which makes the largest-magnitude element exactly representable; and
+restore_table dequantizes the codes wherever they are read.
 
 A BF16 or F16 tensor is encoded and audited by table: its codes and errors
 are computed once for each bit pattern up to its largest, then looked up per
@@ -22,12 +23,12 @@ import numpy as np
 
 from . import fp8
 from .errors import ShapeMismatch, ToolError
-from .fp8 import compute_scale
 from .tensorio import (
     CHUNK_ELEMS,
     Checkpoint,
     Codec,
     DType,
+    Overflow,
     Tensor,
     TensorInfo,
     TensorStream,
@@ -82,16 +83,21 @@ def quantize_fp8(t: Tensor) -> QuantizedTensor:
     return QuantizedTensor(out.tensors["tensor"], read_scale(out, "tensor.scale"))
 
 
-def _restore_table(scale: float) -> np.ndarray:
+def restore_table(scale: float, name: str) -> np.ndarray:
     """decode(code) * scale rounded to float32, for each of the 256 codes, as
-    float64: one lookup restores a tensor's codes wherever they are read."""
-    return (fp8.DECODE_TABLE * scale).astype("<f4").astype(np.float64)
+    float64: the one lookup that restores the codes of tensor ``name``. Overflow
+    if 448 * scale, the largest finite code's value, overflows float32."""
+    with np.errstate(over="ignore"):
+        table = (fp8.DECODE_TABLE * scale).astype("<f4")
+    if np.isinf(table).any():
+        raise Overflow(f"{name!r}: {fp8.E4M3_MAX * scale:.6g} is finite but overflows F32")
+    return table.astype(np.float64)
 
 
 def dequantize_fp8(q: QuantizedTensor) -> Tensor:
-    """Reconstruct a float32 tensor as decode(code) * scale."""
+    """Reconstruct a float32 tensor through restore_table."""
     codes = np.frombuffer(q.codes.data, dtype=np.uint8)
-    values = _restore_table(q.scale)[codes].astype("<f4")
+    values = restore_table(q.scale, "tensor")[codes].astype("<f4")
     return Tensor(DType.F32, q.codes.shape, values.tobytes())
 
 
@@ -141,6 +147,8 @@ class _Kernels:
     """The chunk buffers of one quantize or audit stream. Decoding, scaling,
     encoding and auditing all write into them, so no chunk allocates.
 
+    A tensor's amax, of every dtype, is the value of its top pattern, the
+    largest of its magnitude bit patterns: an integer max, with no decode.
     A 16-bit payload holds at most 65,536 distinct bit patterns, and an
     element's code and relative error depend on its pattern alone. So a BF16
     or F16 tensor that is quantized runs the chunk kernels once, over its
@@ -158,48 +166,47 @@ class _Kernels:
         self._codes = np.empty(1 << 16, dtype=np.uint8)  # by 16-bit pattern
 
     @staticmethod
-    def top(piece) -> int:
-        """The largest magnitude pattern, max(bits & 0x7FFF), of a 16-bit
-        payload piece. Patterns sort as their magnitudes do, and NaN and
-        infinity above every finite one, so it decodes to the piece's max |v|,
-        or to NaN or infinity if the piece holds one."""
-        bits = np.frombuffer(piece, dtype="<u2")
-        # With no temporary: the largest positive pattern is the int16 max,
-        # and the largest negative one the uint16 max, less its sign bit.
-        return max(int(bits.view("<i2").max()), int(bits.max()) - 0x8000)
+    def top(piece, dtype: DType) -> int:
+        """The largest magnitude pattern, max(bits & ~sign), of a payload
+        piece. Patterns sort as their magnitudes do, and NaN and infinity
+        above every finite one, so it decodes to the piece's max |v|, or to
+        NaN or infinity if the piece holds one."""
+        bits = np.frombuffer(piece, dtype=f"<u{dtype.itemsize}")
+        # With no temporary: the largest positive pattern is the signed max,
+        # and the largest negative one the unsigned max, less its sign bit.
+        sign = 1 << (8 * dtype.itemsize - 1)
+        return max(int(bits.view(f"<i{dtype.itemsize}").max()), int(bits.max()) - sign)
+
+    def peak(self, pieces: Iterable, dtype: DType) -> int:
+        """The top pattern of a whole payload; 0 for an empty one."""
+        return max((self.top(piece, dtype) for piece in pieces), default=0)
 
     def value(self, pattern: int, dtype: DType) -> float:
-        """The value of one 16-bit pattern."""
-        return float(self.codec.decode(np.array([pattern], dtype="<u2"), dtype)[0])
+        """The value of one bit pattern."""
+        return float(self.codec.decode(np.array([pattern], f"<u{dtype.itemsize}"), dtype)[0])
 
     def passed(self, name: str, dtype: DType, pieces: Iterable,
                audits: dict[str, TensorAudit]) -> Iterator:
         """A skipped tensor's pieces, unchanged; audits[name] holds their amax
         once the last is taken."""
-        wide = dtype.itemsize == 2
-        peak = 0  # the top pattern of a 16-bit payload, else amax
+        top = 0
         for piece in pieces:
-            if wide:
-                peak = max(peak, self.top(piece))
-            else:
-                values = self.codec.decode(piece, dtype)
-                peak = np.maximum(peak, np.abs(values, out=self._magnitude[: values.size]).max())
+            top = max(top, self.top(piece, dtype))
             yield piece
-        amax = self.value(peak, dtype) if wide else float(peak)
-        audits[name] = TensorAudit(name, amax, 1.0, 0.0, True)
+        audits[name] = TensorAudit(name, self.value(top, dtype), 1.0, 0.0, True)
 
-    def audited(self, name: str, dtype: DType, pieces: Iterable, scale: float,
-                codes: Iterator | None, audits: dict[str, TensorAudit]) -> Iterator:
-        """One tensor's codes chunk by chunk, each the next of ``codes`` or
-        else the chunk encoded at ``scale``, and audited against the chunk;
-        audits[name] holds the audit once the last is taken."""
-        amax, max_rel = 0.0, 0.0
-        table = _restore_table(scale)
+    def audited(self, name: str, dtype: DType, pieces: Iterable, top: int, scale: float,
+                audits: dict[str, TensorAudit], codes: Iterator | None = None) -> Iterator:
+        """The codes of a tensor whose top pattern is ``top``, chunk by chunk,
+        each the next of ``codes`` or else the chunk encoded at ``scale``, and
+        audited against the chunk; audits[name] holds the audit once the last
+        is taken."""
+        max_rel = 0.0
+        table = restore_table(scale, name)
         for piece in pieces:
             values = self.codec.decode(piece, dtype)
             n = values.size
             magnitude = np.abs(values, out=self._magnitude[:n])
-            amax = np.maximum(amax, magnitude.max())
             if codes is None:
                 scaled = np.divide(values, scale, out=self._scaled[:n])
                 piece = self.codec.encode(scaled, DType.F8_E4M3)
@@ -210,14 +217,14 @@ class _Kernels:
             mask = self._rel_err(values, magnitude, restored, scale)
             max_rel = max(max_rel, float(np.max(restored, where=mask, initial=0.0)))
             yield piece
-        audits[name] = TensorAudit(name, float(amax), scale, max_rel)
+        audits[name] = TensorAudit(name, self.value(top, dtype), scale, max_rel)
 
     def looked_up(self, name: str, dtype: DType, pieces: Iterable, top: int, scale: float,
                   audits: dict[str, TensorAudit]) -> Iterator:
         """The codes of a 16-bit tensor whose top pattern is ``top``, chunk by
         chunk, each element's code and relative error looked up by its
         pattern; audits[name] holds the audit once the last is taken."""
-        errors = self._tables(dtype, top, scale)
+        errors = self._tables(name, dtype, top, scale)
         max_rel = 0.0
         for piece in pieces:
             index = self.codec.index(np.frombuffer(piece, dtype="<u2"))
@@ -228,7 +235,7 @@ class _Kernels:
             yield codes.data
         audits[name] = TensorAudit(name, self.value(top, dtype), scale, max_rel)
 
-    def _tables(self, dtype: DType, top: int, scale: float) -> np.ndarray:
+    def _tables(self, name: str, dtype: DType, top: int, scale: float) -> np.ndarray:
         """Fill the codes table, and return the relative error table (0.0
         where the audit skips a value), for every pattern whose magnitude is
         at most top's. The chunk kernels run once over the positive patterns;
@@ -240,7 +247,7 @@ class _Kernels:
         scaled = np.divide(values, scale, out=self._scaled[:n])
         codes = np.frombuffer(self.codec.encode(scaled, DType.F8_E4M3), dtype=np.uint8)
         errors = self._magnitude
-        restored = self.codec.lookup(_restore_table(scale), codes, errors[:n])
+        restored = self.codec.lookup(restore_table(scale, name), codes, errors[:n])
         mask = self._rel_err(values, values, restored, scale)
         np.copyto(restored, 0.0, where=np.logical_not(mask, out=mask))
         np.copyto(self._codes[:n], codes)
@@ -269,15 +276,15 @@ def quantize_stream(src, policy: QuantPolicy) -> tuple[TensorStream, dict[str, T
     """Quantize any source one tensor, and one chunk of it, at a time.
 
     Every check that needs no payload runs before this returns. Each tensor
-    takes two passes over its payload chunks. The first finds its amax and
-    scale, shared by the tensor and its ``.scale``: for a BF16 or F16 tensor,
-    from the max of its magnitude bit patterns. The second encodes and audits
-    each chunk; a 16-bit tensor's elements look up their codes and errors in
-    tables built once over its patterns. Tensors the policy skips, and the
-    ``.scale`` companions of skipped 8-bit tensors, copy through verbatim,
-    piece by piece. Each tensor's audit lands in the returned dict once its
-    last piece is produced, and the next tensor's pieces may be taken only
-    then. The policy is recorded in the output metadata.
+    takes two passes over its payload chunks. The first finds its amax, from
+    the max of its magnitude bit patterns, and so the scale shared by the
+    tensor and its ``.scale``. The second encodes and audits each chunk; a
+    16-bit tensor's elements look up their codes and errors in tables built
+    once over its patterns. Tensors the policy skips, and the ``.scale``
+    companions of skipped 8-bit tensors, copy through verbatim, piece by
+    piece. Each tensor's audit lands in the returned dict once its last piece
+    is produced, and the next tensor's pieces may be taken only then. The
+    policy is recorded in the output metadata.
     """
     infos: dict[str, TensorInfo] = {}
     produce: dict[str, Callable[[], Iterable]] = {}
@@ -287,35 +294,20 @@ def quantize_stream(src, policy: QuantPolicy) -> tuple[TensorStream, dict[str, T
 
     @cache
     def top_of(name: str) -> int:
-        return max(map(k.top, src.pieces(name)), default=0)
+        # Pass 1: the top pattern. Its value is the tensor's amax, NaN or
+        # infinite iff a value is, and sets the scale.
+        return k.peak(src.pieces(name), src.tensors[name].dtype)
 
     @cache
     def scale_of(name: str) -> float:
-        # Pass 1: the tensor's amax alone sets the scale, and it is NaN or
-        # infinite iff a value is.
-        dtype = src.tensors[name].dtype
-        if dtype.itemsize == 2:
-            amax = k.value(top_of(name), dtype)
-        else:
-            first: dict[str, TensorAudit] = {}
-            for _ in k.passed(name, dtype, src.pieces(name), first):
-                pass
-            amax = first[name].amax
-        try:
-            scale = float(np.float32(compute_scale((amax,))))
-        except fp8.NonFiniteInput as exc:
-            raise fp8.NonFiniteInput(f"{name!r}: {exc}") from exc
-        # Below amax = 448 * 2**-150 the float32 scale would round to 0.
-        return max(scale, 2.0**-149)
+        return fp8.compute_scale(k.value(top_of(name), src.tensors[name].dtype), name)
 
     def payload(name: str) -> Iterator:
         dtype = src.tensors[name].dtype
         if skips(name):
             return k.passed(name, dtype, src.pieces(name), audits)
-        if dtype.itemsize == 2:
-            return k.looked_up(name, dtype, src.pieces(name), top_of(name), scale_of(name),
-                               audits)
-        return k.audited(name, dtype, src.pieces(name), scale_of(name), None, audits)
+        run = k.looked_up if dtype.itemsize == 2 else k.audited
+        return run(name, dtype, src.pieces(name), top_of(name), scale_of(name), audits)
 
     def scale_payload(name: str) -> list[bytes]:
         return [np.float32(scale_of(name)).tobytes()]
@@ -365,7 +357,8 @@ def validate_quantization(
             if q.codes.shape != t.shape:
                 raise ShapeMismatch(f"{name!r}: codes {list(q.codes.shape)}, "
                                     f"original {list(t.shape)}")
-            run = k.audited(name, t.dtype, t.pieces(), q.scale, q.codes.pieces(), audits)
+            run = k.audited(name, t.dtype, t.pieces(), k.peak(t.pieces(), t.dtype), q.scale,
+                            audits, q.codes.pieces())
         for _ in run:
             pass
     return list(audits.values())

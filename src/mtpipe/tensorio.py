@@ -13,8 +13,8 @@ the ``CheckpointFile`` that ``open_checkpoint`` validates or a
 ``TensorStream``, offers ``tensors``, ``metadata`` and ``pieces(name)``: a
 payload chunk by chunk, names in any order. ``write_checkpoint`` writes any
 source and ``collect`` reads any source into memory.
-``Codec`` decodes pieces to float64 and encodes float64 back into buffers it
-allocates once.
+``Codec`` decodes pieces to float64, 8-bit codes through a 256-entry table,
+and encodes float64 back into buffers it allocates once.
 """
 
 from __future__ import annotations
@@ -212,12 +212,13 @@ class Codec:
         return np.take(table, self.index(codes), out=out, mode="clip")
 
     @np.errstate(invalid="ignore")  # a signalling NaN widens to NaN; that is no error
-    def decode(self, piece, dtype: DType) -> np.ndarray:
-        """A payload piece's values at float64, NaNs preserved."""
+    def decode(self, piece, dtype: DType, table: np.ndarray | None = None) -> np.ndarray:
+        """A payload piece's values at float64, NaNs preserved; 8-bit codes
+        are looked up in ``table``, or by their plain values."""
         wire = np.frombuffer(piece, dtype=_WIRE[dtype])
         values = self._values[: wire.size]
         if dtype is DType.F8_E4M3:
-            self.lookup(fp8.DECODE_TABLE, wire, values)
+            self.lookup(fp8.DECODE_TABLE if table is None else table, wire, values)
         elif dtype is DType.BF16:
             bits = self._u32[: wire.size]
             np.copyto(bits, wire)

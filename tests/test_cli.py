@@ -751,9 +751,11 @@ def test_config_value_of_the_wrong_type_exits_two(tmp_path, caplog):
     [["--timeout", "0"], ["--backoff-base", "0"], ["--max-retries", "-1"],
      ["--concurrency", "0"], ["--base-url", "localhost:8000"], ["--temperature", "nan"],
      ["--base-url", "http://h:99999"], ["--base-url", "http://h:abc"], ["--timeout", "nan"],
-     ["--backoff-base", "nan"]],
+     ["--backoff-base", "nan"], ["--timeout", "inf"], ["--timeout", "1e10"],
+     ["--backoff-base", "inf"]],
     ids=["timeout", "backoff-base", "max-retries", "concurrency", "base-url", "temperature",
-         "base-url-port-range", "base-url-port-text", "timeout-nan", "backoff-base-nan"],
+         "base-url-port-range", "base-url-port-text", "timeout-nan", "backoff-base-nan",
+         "timeout-inf", "timeout-past-max", "backoff-base-inf"],
 )
 def test_invalid_endpoint_flag_exits_two(tmp_path, caplog, flags):
     pairs_path = tmp_path / "pairs.jsonl"

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mtpipe import fp8
+from mtpipe import fp8, quant
+from mtpipe.tensorio import DType, Tensor
 
 from oracles import e4m3_exact_value
 
@@ -89,23 +90,26 @@ def test_encode_picks_a_nearest_grid_value(x):
 
 
 def test_compute_scale_all_zero_convention():
-    assert fp8.compute_scale([0.0, 0.0]) == 1.0
-    assert fp8.compute_scale([]) == 1.0
+    assert fp8.compute_scale(0.0, "w") == 1.0
+    # An empty tensor's amax is 0 too.
+    assert quant.quantize_fp8(Tensor(DType.F32, (0,), b"")).scale == 1.0
 
 
 def test_compute_scale_amax_at_format_max():
-    assert fp8.compute_scale([448.0, -224.0]) == 1.0
+    assert fp8.compute_scale(448.0, "w") == 1.0
 
 
 def test_compute_scale_single_value():
-    assert fp8.compute_scale([1.0]) == pytest.approx(1.0 / 448.0, rel=0, abs=0)
+    assert fp8.compute_scale(1.0, "w") == float(np.float32(1.0 / 448.0))
+    # The least positive float32, where amax / 448 would round to 0.
+    assert fp8.compute_scale(448.0 * 2.0**-151, "w") == 2.0**-149
 
 
 def test_compute_scale_rejects_non_finite():
-    with pytest.raises(fp8.NonFiniteInput):
-        fp8.compute_scale([1.0, float("inf")])
-    with pytest.raises(fp8.NonFiniteInput):
-        fp8.compute_scale([float("nan")])
+    for amax in (math.inf, math.nan):
+        with pytest.raises(fp8.NonFiniteInput,
+                           match="^'w': scale computation requires finite values$"):
+            fp8.compute_scale(amax, "w")
 
 
 def test_encode_array_matches_scalar_encode(rng):

@@ -65,6 +65,21 @@ def test_429_is_retried():
         assert stub.calls_per_prompt["p"] == 2
 
 
+def test_a_backoff_past_the_wait_limit_waits_the_limit(monkeypatch):
+    waits = []
+
+    class Stopped:
+        def wait(self, seconds):
+            waits.append(seconds)
+            return True
+
+    monkeypatch.setattr(inference, "_NEVER", Stopped())
+    with StubEndpoint(lambda p, n: ("status", 503)) as stub:
+        with pytest.raises(ExhaustedRetries, match="batch stopped after 1 attempts"):
+            chat_complete(make_cfg(stub, backoff_base=threading.TIMEOUT_MAX), "p")
+    assert waits == [threading.TIMEOUT_MAX]
+
+
 def test_400_fails_after_exactly_one_attempt():
     with StubEndpoint(lambda p, n: ("status", 400)) as stub:
         with pytest.raises(NonRetryable):

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from mtpipe import merge
-from mtpipe.quant import QuantPolicy, quantize_checkpoint
+from mtpipe.quant import (
+    QuantizedTensor,
+    QuantPolicy,
+    dequantize_fp8,
+    quantize_checkpoint,
+    read_scale,
+)
 from mtpipe.tensorio import (
     CHUNK_ELEMS,
     Checkpoint,
@@ -253,6 +259,21 @@ def test_quantized_inputs_dequantize_to_f32_output(rng):
     merged = merge.merge_checkpoints(quantized, quantized, merge.MergeSpec(t=0.5))
     assert merged.tensors["w"].dtype is DType.F32
     assert "w.scale" not in merged.tensors
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("dtype", [DType.F32, DType.F16, DType.BF16], ids=lambda d: d.value)
+def test_merging_a_quantized_tensor_equals_merging_its_dequantization(rng, dtype, t):
+    # One element past a chunk: the codes are restored chunk by chunk.
+    n = CHUNK_ELEMS + 1
+    base = Checkpoint(tensors={"w": tensor_from_f64(rng.normal(size=n), DType.F32, (n,))})
+    quantized = quantize_checkpoint(base, QuantPolicy())
+    q = QuantizedTensor(quantized.tensors["w"], read_scale(quantized, "w.scale"))
+    dequantized = Checkpoint(tensors={"w": dequantize_fp8(q)})
+    y = Checkpoint(tensors={"w": tensor_from_f64(rng.normal(size=n), dtype, (n,))})
+    spec = merge.MergeSpec(t=t)
+    want = merge.merge_checkpoints(dequantized, y, spec).tensors["w"]
+    assert merge.merge_checkpoints(quantized, y, spec).tensors["w"] == want
 
 
 def test_scalar_and_empty_tensors_merge(rng):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtpipe import fp8, merge, quant, tensorio as tio
 from mtpipe.tensorio import CHUNK_ELEMS, Checkpoint, DType, Tensor, tensor_as_f64, tensor_from_f64
@@ -260,19 +261,70 @@ def test_every_finite_16bit_pattern_quantizes_and_audits_as_the_chunk_kernels_do
     assert quantized.tensors["zeros"].data == bytes([0x00, 0x80, 0x00])
 
 
-@pytest.mark.parametrize("dtype", [DType.BF16, DType.F16], ids=lambda d: d.value)
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -math.nan])
+_BAD = {"inf": math.inf, "-inf": -math.inf, "nan0": math.nan, "nan1": -math.nan}
+
+
+@pytest.mark.parametrize(
+    "dtype, bad",
+    [*((d, _BAD[key]) for key in _BAD for d in (DType.BF16, DType.F16, DType.F32)),
+     (DType.F8_E4M3, fp8.NAN_CODE), (DType.F8_E4M3, 0xFF)],
+    ids=[*(f"{key}-{d.value}" for key in _BAD for d in (DType.BF16, DType.F16, DType.F32)),
+         "0x7F-F8_E4M3", "0xFF-F8_E4M3"],
+)
 def test_a_16bit_tensor_holding_nan_or_inf_is_audited_skipped_and_refused_quantized(
         dtype, bad):
-    t = _raw16(_bits16([1.5, -3.0, bad, 0.25], dtype), dtype)
+    # Also an F32 one, and 8-bit codes holding a NaN code.
+    if dtype is DType.F8_E4M3:
+        t = Tensor(dtype, (4,), bytes([0x3C, 0xC0, bad, 0x30]))
+    elif dtype is DType.F32:
+        t = Tensor(dtype, (4,), np.array([1.5, -3.0, bad, 0.25], dtype="<f4").tobytes())
+    else:
+        t = _raw16(_bits16([1.5, -3.0, bad, 0.25], dtype), dtype)
     original = Checkpoint(tensors={"w": t})
     amax = float(np.abs(tensor_as_f64(t)).max())
     skip = quant.QuantPolicy(skip_patterns=("w",))
     stream, audits = quant.quantize_stream(original, skip)
     out = tio.collect(stream)
     (validated,) = quant.validate_quantization(original, out, skip)
+    expected = "nan" if dtype is DType.F8_E4M3 else repr(abs(bad))
     for audit in (audits["w"], validated):
-        assert audit.skipped and repr(audit.amax) == repr(amax) == repr(abs(bad))
+        assert audit.skipped and repr(audit.amax) == repr(amax) == expected
     assert out.tensors == original.tensors
-    with pytest.raises(fp8.NonFiniteInput, match="'w': scale computation requires finite"):
-        quant.quantize_checkpoint(original, quant.QuantPolicy())
+    if dtype is DType.F8_E4M3:
+        with pytest.raises(quant.AlreadyQuantized):
+            quant.quantize_checkpoint(original, quant.QuantPolicy())
+    else:
+        with pytest.raises(fp8.NonFiniteInput, match="'w': scale computation requires finite"):
+            quant.quantize_checkpoint(original, quant.QuantPolicy())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(DType)), st.binary(max_size=64))
+def test_a_skipped_tensors_amax_is_the_nan_aware_max_magnitude(dtype, raw):
+    n = len(raw) // dtype.itemsize
+    t = Tensor(dtype, (n,), raw[: n * dtype.itemsize])
+    skip = quant.QuantPolicy(skip_patterns=("w",))
+    (audit,) = quant.validate_quantization(Checkpoint({"w": t}), Checkpoint({"w": t}), skip)
+    values = tensor_as_f64(t)
+    assert repr(audit.amax) == repr(float(np.abs(values).max()) if n else 0.0)
+
+
+def _overflowing(caller: str) -> None:
+    codes = Tensor(DType.F8_E4M3, (2,), bytes([0x7E, 0x01]))
+    scale = np.float32(1e36)
+    quantized = Checkpoint({"w": codes, "w.scale": Tensor(DType.F32, (), scale.tobytes())})
+    if caller == "dequantize_fp8":
+        quant.dequantize_fp8(quant.QuantizedTensor(codes, float(scale)))
+    elif caller == "validate_quantization":
+        original = Checkpoint({"w": f32_tensor([3e38, 2e33])})
+        quant.validate_quantization(original, quantized, quant.QuantPolicy())
+    else:
+        merge.merge_checkpoints(quantized, Checkpoint({"w": f32_tensor([1.0, 1.0])}),
+                                merge.MergeSpec(t=0.0))
+
+
+@pytest.mark.parametrize("caller, name", [("merge", "w"), ("dequantize_fp8", "tensor"),
+                                          ("validate_quantization", "w")])
+def test_a_scale_whose_codes_overflow_f32_raises_overflow_naming_the_tensor(caller, name):
+    with pytest.raises(tio.Overflow, match=f"^'{name}': 4.48e\\+38 is finite but overflows F32$"):
+        _overflowing(caller)

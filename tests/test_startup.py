@@ -3,6 +3,8 @@ reads ``sys.modules["mtpipe.<m>"]`` for every submodule."""
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -18,8 +20,18 @@ from mtpipe import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 HEAVY = ("numpy", "http.client", "ssl", "urllib.request")
-TRACED_MODULES = ("cli", "tensorio", "fp8", "quant", "merge", "inference", "state",
-                  "pipeline", "metrics", "evalset")
+
+
+def _load_spans():
+    """bench/spans.py, loaded by path: bench/ is no package."""
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for @dataclass
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACED = _load_spans().TRACED
+TRACED_MODULES = tuple(sorted({module for module, _ in TRACED}))
 
 
 def _child(code: str, *args: str) -> list:
@@ -120,6 +132,20 @@ def test_a_traced_benchmark_run_of_one_workload_succeeds(workload):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+
+
+def test_every_traced_function_resolves():
+    # Tracer.install fails on a name that is gone; this finds it without a
+    # benchmark run.
+    missing = []
+    for module, name in TRACED:
+        owner = importlib.import_module(f"mtpipe.{module}")
+        cls, _, attr = name.rpartition(".")
+        # A method is read from its class's own dict, as Tracer.install does.
+        found = vars(getattr(owner, cls, object)).get(attr) if cls else getattr(owner, attr, None)
+        if not callable(found):
+            missing.append((module, name))
+    assert missing == []
 
 
 def _annotated_callables():
