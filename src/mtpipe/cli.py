@@ -196,6 +196,7 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
 
 
 def cmd_translate_corpus(args: argparse.Namespace) -> int:
+    cfg, concurrency = _endpoint_from(args)
     records = pipeline.load_instruction_records(args.in_path)
     prompts: list[str] = []
     for record in records:
@@ -204,7 +205,6 @@ def cmd_translate_corpus(args: argparse.Namespace) -> int:
             prompts.append(pipeline.render_translation_prompt(record.response, args.template))
         except pipeline.EmptyText as exc:
             raise pipeline.EmptyText(f"record {record.id!r}: {exc}") from exc
-    cfg, concurrency = _endpoint_from(args)
     outputs = inference.run_prompts(prompts, cfg, concurrency, args.state)
 
     pipeline.write_bilingual_tuples(args.out, records, outputs[0::2], outputs[1::2])
@@ -213,8 +213,8 @@ def cmd_translate_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_judge(args: argparse.Namespace) -> int:
-    pairs = pipeline.load_parallel_pairs(args.in_path)
     cfg, concurrency = _endpoint_from(args)
+    pairs = pipeline.load_parallel_pairs(args.in_path)
     accepted, stats = pipeline.filter_parallel_corpus(
         pairs, cfg, state=args.state, concurrency=concurrency
     )

@@ -72,6 +72,8 @@ class EndpointConfig:
                 raise ValueError(f"{name} must be positive and at most {threading.TIMEOUT_MAX} s")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ magnitude bit pattern, whatever its dtype; fp8.compute_scale maps it to the
 scale, which makes the largest-magnitude element exactly representable; and
 restore_table dequantizes the codes wherever they are read.
 
-A BF16 or F16 tensor is encoded and audited by table: its codes and errors
-are computed once for each bit pattern up to its largest, then looked up per
-element. They are the same bits the per-element kernels give on F32 input.
+One step encodes, restores and measures every audited value: the F32
+chunks, the given codes of validate_quantization and the tables of a BF16 or
+F16 tensor, which hold its codes and errors for each bit pattern up to its
+largest and are looked up per element. Neither output nor audit depends on
+CHUNK_ELEMS.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .tensorio import (
     Tensor,
     TensorInfo,
     TensorStream,
+    chunks,
     collect,
 )
 
@@ -144,26 +147,29 @@ class TensorAudit:
 
 
 class _Kernels:
-    """The chunk buffers of one quantize or audit stream. Decoding, scaling,
+    """The buffers of one quantize or audit stream. Decoding, scaling,
     encoding and auditing all write into them, so no chunk allocates.
 
     A tensor's amax, of every dtype, is the value of its top pattern, the
     largest of its magnitude bit patterns: an integer max, with no decode.
-    A 16-bit payload holds at most 65,536 distinct bit patterns, and an
-    element's code and relative error depend on its pattern alone. So a BF16
-    or F16 tensor that is quantized runs the chunk kernels once, over its
-    patterns, and each element is then looked up by its pattern. Its tables
-    stay in these buffers until its last piece, so the tensors of one stream
-    must be taken one at a time.
+    One step encodes, restores and measures the error of every audited
+    value. A 16-bit payload holds at most 65,536 distinct bit patterns, and
+    an element's code and relative error depend on its pattern alone. So a
+    BF16 or F16 tensor that is quantized runs the step once, over its
+    positive patterns, into a code table and an error table indexed by
+    pattern, and each element is then looked up. The tables stay in these
+    buffers until the tensor's last piece, so the tensors of one stream must
+    be taken one at a time.
     """
 
     def __init__(self) -> None:
         self.codec = Codec()
-        self._scaled, self._magnitude, self._restored = np.empty((3, CHUNK_ELEMS))
-        # One byte per element: the audit's mask, or a table pass's codes.
+        self._scaled, self._magnitude, self._errors = np.empty((3, CHUNK_ELEMS))
+        # One byte per element: the step's mask, or a looked-up chunk's codes.
         self._bytes = np.empty(CHUNK_ELEMS, dtype=np.uint8)
         self._mask = self._bytes.view(np.bool_)
-        self._codes = np.empty(1 << 16, dtype=np.uint8)  # by 16-bit pattern
+        self._code_table = np.empty(1 << 16, dtype=np.uint8)  # by 16-bit pattern
+        self._error_table = np.empty(1 << 16)
 
     @staticmethod
     def top(piece, dtype: DType) -> int:
@@ -200,69 +206,57 @@ class _Kernels:
         """The codes of a tensor whose top pattern is ``top``, chunk by chunk,
         each the next of ``codes`` or else the chunk encoded at ``scale``, and
         audited against the chunk; audits[name] holds the audit once the last
-        is taken."""
+        is taken. A 16-bit tensor that is encoded here looks each element up
+        in tables the step fills over its patterns up to ``top``."""
         max_rel = 0.0
         table = restore_table(scale, name)
+        by_pattern = codes is None and dtype.itemsize == 2
+        if by_pattern:
+            # A negative pattern takes its positive twin's code with the sign
+            # bit set, and its error. Entries above top's magnitude are a
+            # former tensor's and are never read.
+            positive = np.arange(top + 1, dtype="<u2")
+            code_table = self._code_table.reshape(2, 1 << 15)[:, : top + 1]
+            error_table = self._error_table.reshape(2, 1 << 15)[:, : top + 1]
+            for part in chunks(top + 1):
+                values = self.codec.decode(positive[part], dtype)  # each is |v|
+                encoded, errors = self._step(values, values, scale, table)
+                np.copyto(code_table[0, part], encoded)
+                np.bitwise_or(encoded, 0x80, out=code_table[1, part])
+                error_table[:, part] = errors
         for piece in pieces:
-            values = self.codec.decode(piece, dtype)
-            n = values.size
-            magnitude = np.abs(values, out=self._magnitude[:n])
-            if codes is None:
-                scaled = np.divide(values, scale, out=self._scaled[:n])
-                piece = self.codec.encode(scaled, DType.F8_E4M3)
+            if by_pattern:
+                index = self.codec.index(np.frombuffer(piece, dtype="<u2"))
+                n = index.size
+                encoded = np.take(self._code_table, index, out=self._bytes[:n], mode="clip")
+                errors = np.take(self._error_table, index, out=self._errors[:n], mode="clip")
             else:
-                piece = next(codes)
-            restored = self.codec.lookup(table, np.frombuffer(piece, dtype=np.uint8),
-                                         self._restored[:n])
-            mask = self._rel_err(values, magnitude, restored, scale)
-            max_rel = max(max_rel, float(np.max(restored, where=mask, initial=0.0)))
-            yield piece
+                values = self.codec.decode(piece, dtype)
+                magnitude = np.abs(values, out=self._magnitude[: values.size])
+                encoded, errors = self._step(values, magnitude, scale, table,
+                                             None if codes is None else next(codes))
+            max_rel = max(max_rel, float(np.max(errors, initial=0.0)))
+            yield encoded.data
         audits[name] = TensorAudit(name, self.value(top, dtype), scale, max_rel)
 
-    def looked_up(self, name: str, dtype: DType, pieces: Iterable, top: int, scale: float,
-                  audits: dict[str, TensorAudit]) -> Iterator:
-        """The codes of a 16-bit tensor whose top pattern is ``top``, chunk by
-        chunk, each element's code and relative error looked up by its
-        pattern; audits[name] holds the audit once the last is taken."""
-        errors = self._tables(name, dtype, top, scale)
-        max_rel = 0.0
-        for piece in pieces:
-            index = self.codec.index(np.frombuffer(piece, dtype="<u2"))
-            n = index.size
-            codes = np.take(self._codes, index, out=self._bytes[:n], mode="clip")
-            found = np.take(errors, index, out=self._restored[:n], mode="clip")
-            max_rel = max(max_rel, float(found.max()))
-            yield codes.data
-        audits[name] = TensorAudit(name, self.value(top, dtype), scale, max_rel)
-
-    def _tables(self, name: str, dtype: DType, top: int, scale: float) -> np.ndarray:
-        """Fill the codes table, and return the relative error table (0.0
-        where the audit skips a value), for every pattern whose magnitude is
-        at most top's. The chunk kernels run once over the positive patterns;
-        a negative one takes its positive twin's code with the sign bit set,
-        and its error. Other entries are a former tensor's and are never read.
-        """
-        n, negative = top + 1, slice(1 << 15, (1 << 15) + top + 1)
-        values = self.codec.decode(np.arange(n, dtype="<u2"), dtype)  # each is |v|
-        scaled = np.divide(values, scale, out=self._scaled[:n])
-        codes = np.frombuffer(self.codec.encode(scaled, DType.F8_E4M3), dtype=np.uint8)
-        errors = self._magnitude
-        restored = self.codec.lookup(restore_table(scale, name), codes, errors[:n])
-        mask = self._rel_err(values, values, restored, scale)
-        np.copyto(restored, 0.0, where=np.logical_not(mask, out=mask))
-        np.copyto(self._codes[:n], codes)
-        np.bitwise_or(codes, 0x80, out=self._codes[negative])
-        np.copyto(errors[negative], restored)
-        return errors
-
-    def _rel_err(self, values, magnitude, restored, scale: float) -> np.ndarray:
-        """|restored - v| / |v| written over ``restored`` where v is at or
-        above scale * 2**-6, and the mask of those values."""
-        mask = np.greater_equal(magnitude, scale * 2.0**-6, out=self._mask[: values.size])
-        np.subtract(restored, values, out=restored)
-        np.abs(restored, out=restored)
-        np.divide(restored, magnitude, out=restored, where=mask)
-        return mask
+    def _step(self, values: np.ndarray, magnitude: np.ndarray, scale: float,
+              table: np.ndarray, codes=None) -> tuple[np.ndarray, np.ndarray]:
+        """The 8-bit codes of float64 ``values``, ``codes`` if given or else
+        the values encoded at ``scale``, and each one's relative error
+        |table[code] - v| / |v|: 0.0 where ``magnitude``, |v|, is below
+        scale * 2**-6 (or NaN)."""
+        n = values.size
+        if codes is None:
+            scaled = np.divide(values, scale, out=self._scaled[:n])
+            codes = self.codec.encode(scaled, DType.F8_E4M3)
+        codes = np.frombuffer(codes, dtype=np.uint8)
+        errors = self.codec.lookup(table, codes, self._errors[:n])
+        np.subtract(errors, values, out=errors)
+        np.abs(errors, out=errors)
+        mask = np.greater_equal(magnitude, scale * 2.0**-6, out=self._mask[:n])
+        np.divide(errors, magnitude, out=errors, where=mask)
+        np.copyto(errors, 0.0, where=np.logical_not(mask, out=mask))
+        return codes, errors
 
 
 def _skips(src, policy: QuantPolicy) -> Callable[[str], bool]:
@@ -306,8 +300,7 @@ def quantize_stream(src, policy: QuantPolicy) -> tuple[TensorStream, dict[str, T
         dtype = src.tensors[name].dtype
         if skips(name):
             return k.passed(name, dtype, src.pieces(name), audits)
-        run = k.looked_up if dtype.itemsize == 2 else k.audited
-        return run(name, dtype, src.pieces(name), top_of(name), scale_of(name), audits)
+        return k.audited(name, dtype, src.pieces(name), top_of(name), scale_of(name), audits)
 
     def scale_payload(name: str) -> list[bytes]:
         return [np.float32(scale_of(name)).tobytes()]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import marshal
 import os
+import signal
 import sys
 import threading
 from bisect import bisect_left
@@ -79,7 +80,8 @@ def gather(stats: Callable[..., list], hyps: Sequence[str], refs: Sequence[str],
     children: list[list] = []  # [pid, read end] per shard past 0; pid None once reaped
     try:
         for shard in shards[1:]:
-            children.append(_fork(stats, *shard, *args))
+            with _sigint_blocked() as mask:  # until the child is recorded
+                children.append(_fork(mask, stats, *shard, *args))
         results = [stats(*shards[0], *args)]
         for shard, child in zip(shards[1:], children):
             result = _receive(child)
@@ -89,22 +91,28 @@ def gather(stats: Callable[..., list], hyps: Sequence[str], refs: Sequence[str],
         for pid, fd in children:
             if fd is not None:
                 os.close(fd)
-            if pid is not None:
-                # Only a call that raises gets here. Importing signal for
-                # every command that loads metrics would add its 40 KB of
-                # enum classes to sample-eval's peak RSS.
-                import signal
-
+            if pid is not None:  # only a call that raises gets here
                 with contextlib.suppress(ProcessLookupError, ChildProcessError):
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
 
 
-def _fork(stats: Callable[..., list], hyps: Sequence[str], refs: Sequence[str],
+@contextlib.contextmanager
+def _sigint_blocked():
+    """SIGINT held back in this thread until the block ends; yields the
+    signal mask it replaced."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield mask
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _fork(mask, stats: Callable[..., list], hyps: Sequence[str], refs: Sequence[str],
           *args) -> list:
-    """Start a child that writes ``stats(hyps, refs, *args)`` to a pipe and
-    exits 0, or 1 on any error; ``[pid, read end]``, or ``[None, None]``
-    when no child could be started."""
+    """Start a child that sets the signal ``mask``, writes ``stats(hyps,
+    refs, *args)`` to a pipe and exits 0, or 1 on any error; ``[pid, read
+    end]``, or ``[None, None]`` when no child could be started."""
     try:
         read, write = os.pipe()
     except OSError:
@@ -118,6 +126,7 @@ def _fork(stats: Callable[..., list], hyps: Sequence[str], refs: Sequence[str],
     if pid == 0:
         code = 1
         try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             os.close(read)
             with open(write, "wb") as out:
                 out.write(marshal.dumps(stats(hyps, refs, *args)))
@@ -137,6 +146,7 @@ def _receive(child: list) -> list | None:
     chunks = []
     while chunk := os.read(fd, 1 << 16):
         chunks.append(chunk)
-    status = os.waitpid(pid, 0)[1]
-    child[0] = None
+    with _sigint_blocked():  # the child has closed its end and is exiting
+        status = os.waitpid(pid, 0)[1]
+        child[0] = None
     return marshal.loads(b"".join(chunks)) if status == 0 else None

@@ -38,8 +38,10 @@ from .state import atomic_write
 MAX_HEADER_BYTES = 100 * 1024 * 1024
 
 # Elements per step of the elementwise loops. A 512 KB float64 chunk buffer
-# leaves room in a core's 2 MB L2. 1 << 15 measured the same as 1 << 16;
-# 1 << 17 was slower.
+# leaves room in a core's 2 MB L2; 1 << 17 was slower. quantize's output and
+# audit do not depend on it (tests/test_quant.py runs it at 1 << 12 and
+# 1 << 15). merge's output does, through its per-chunk dot products, so the
+# golden manifest pins it at 1 << 16.
 CHUNK_ELEMS = 1 << 16
 
 

@@ -752,10 +752,11 @@ def test_config_value_of_the_wrong_type_exits_two(tmp_path, caplog):
      ["--concurrency", "0"], ["--base-url", "localhost:8000"], ["--temperature", "nan"],
      ["--base-url", "http://h:99999"], ["--base-url", "http://h:abc"], ["--timeout", "nan"],
      ["--backoff-base", "nan"], ["--timeout", "inf"], ["--timeout", "1e10"],
-     ["--backoff-base", "inf"]],
+     ["--backoff-base", "inf"], ["--max-tokens", "0"], ["--max-tokens", "-5"]],
     ids=["timeout", "backoff-base", "max-retries", "concurrency", "base-url", "temperature",
          "base-url-port-range", "base-url-port-text", "timeout-nan", "backoff-base-nan",
-         "timeout-inf", "timeout-past-max", "backoff-base-inf"],
+         "timeout-inf", "timeout-past-max", "backoff-base-inf", "max-tokens-zero",
+         "max-tokens-negative"],
 )
 def test_invalid_endpoint_flag_exits_two(tmp_path, caplog, flags):
     pairs_path = tmp_path / "pairs.jsonl"
@@ -769,6 +770,21 @@ def test_invalid_endpoint_flag_exits_two(tmp_path, caplog, flags):
     assert flags[0].lstrip("-").replace("-", "_") in caplog.text
     assert "Traceback" not in caplog.text
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("command, out", [("translate-corpus", "--out"), ("judge", "--accepted")],
+                         ids=["translate-corpus", "judge"])
+def test_a_bad_endpoint_flag_is_a_usage_error_before_the_input_is_read(tmp_path, caplog,
+                                                                        command, out):
+    code = run_cli(
+        [command, "--in", str(tmp_path / "missing.jsonl"), out, str(tmp_path / "o"),
+         "--state", str(tmp_path / "s"), "--base-url", "http://127.0.0.1:1", "--model", "m",
+         "--timeout", "0"]
+    )
+    assert code == 2
+    assert "timeout" in caplog.text
+    assert "No such file" not in caplog.text
+    assert not (tmp_path / "s").exists() and not (tmp_path / "o").exists()
 
 
 def test_merge_invalid_eps_exits_two(tmp_path, rng, caplog):

@@ -7,8 +7,10 @@ that reads it. For each target in numpy's ``__cpu_dispatch__`` that this host
 supports, the fp8, quant, merge and golden-output tests rerun in a child
 pytest with only that target disabled, which selects the loops a host without
 it runs; only the child's environment changes. The quant tests hold the
-16-bit tables, built once per tensor by the loops of ``fp8.encode_array``, to
-the chunk kernels' codes and audit on every finite BF16 and F16 pattern.
+16-bit tables, built once per tensor by quant's one encode-restore-error
+step, to the same step run element by element in ``validate_quantization``
+on every finite BF16 and F16 pattern, and hold quantize's bytes and audits
+at two other chunk sizes to those at the default; each rerun covers both.
 
 Out of reach: other libm builds, other numpy versions and non-x86 hosts,
 whose dispatch targets are different and are only checked by runs there.

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -466,3 +468,30 @@ def test_every_child_is_reaped(monkeypatch, forks):
     assert forks
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not Path(f"/proc/self/task/{os.getpid()}/children").exists(),
+                    reason="needs /proc/<pid>/task/<tid>/children to see a stray child")
+def test_an_interrupt_as_a_child_is_forked_leaves_no_child(monkeypatch, forks):
+    # SIGINT reaches the caller as soon as os.fork returns there, before the
+    # child can have been recorded for the kill and reap.
+    fork = os.fork
+
+    def interrupted_fork():
+        pid = fork()
+        if pid:
+            os.kill(os.getpid(), signal.SIGINT)
+        return pid
+
+    monkeypatch.setattr(os, "fork", interrupted_fork)
+    monkeypatch.setattr(shards, "_cpus", lambda: 2)
+    hyps, refs = map(list, zip(*PINNED_PAIRS * 3))
+    with pytest.raises(KeyboardInterrupt):
+        metrics.chrf_pp(hyps, refs)
+    children = Path(f"/proc/{os.getpid()}/task/{threading.get_native_id()}/children")
+    left = [int(pid) for pid in children.read_text().split()]
+    for pid in left:  # so that no later test inherits a stray child
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert len(forks) == 1
+    assert left == []

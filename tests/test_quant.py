@@ -328,3 +328,34 @@ def _overflowing(caller: str) -> None:
 def test_a_scale_whose_codes_overflow_f32_raises_overflow_naming_the_tensor(caller, name):
     with pytest.raises(tio.Overflow, match=f"^'{name}': 4.48e\\+38 is finite but overflows F32$"):
         _overflowing(caller)
+
+
+@pytest.mark.parametrize("chunk", [1 << 12, 1 << 15])
+def test_quantize_output_and_audits_do_not_depend_on_the_chunk_size(
+        tmp_path, monkeypatch, rng, chunk):
+    # BF16, F16 and F32 tensors that cross chunk boundaries at every size,
+    # with a wide spread of magnitudes so the 16-bit tables span many chunks,
+    # and one skipped tensor. merge is left out: its bytes depend on the chunk
+    # size through its per-chunk sums.
+    def values(n):
+        out = rng.standard_normal(n) * np.exp2(rng.integers(-40, 40, n))
+        out[::53] = 0.0
+        return out
+
+    layout = {"a": (DType.BF16, 3 * (1 << 15) + 7), "b": (DType.F16, (1 << 15) + 1),
+              "c": (DType.F32, (1 << 16) + 3), "d.norm": (DType.BF16, (1 << 12) + 5)}
+    original = Checkpoint({name: tensor_from_f64(values(n), dtype, (n,))
+                           for name, (dtype, n) in layout.items()})
+    policy = quant.QuantPolicy(skip_patterns=("*.norm",))
+
+    def run(path):
+        stream, audits = quant.quantize_stream(original, policy)
+        tio.write_checkpoint(stream, path)
+        validated = quant.validate_quantization(original, tio.read_checkpoint(path), policy)
+        assert {a.name: a for a in validated} == audits
+        return path.read_bytes(), audits
+
+    expected = run(tmp_path / "at-default")
+    monkeypatch.setattr(tio, "CHUNK_ELEMS", chunk)
+    monkeypatch.setattr(quant, "CHUNK_ELEMS", chunk)
+    assert run(tmp_path / f"at-{chunk}") == expected
