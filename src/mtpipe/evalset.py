@@ -136,10 +136,6 @@ def build_report(
 _ITEM_FIELDS = ("subject", "item_id", "text")
 
 
-def _item_record(item: QuestionItem) -> dict:
-    return {"subject": item.subject, "item_id": item.item_id, "text": item.text}
-
-
 def _item_from(obj: dict) -> QuestionItem:
     return QuestionItem(
         subject=str(obj["subject"]), item_id=str(obj["item_id"]), text=obj["text"]
@@ -168,13 +164,13 @@ def write_eval_set(
     pairs: Sequence[AlignedPair],
     misses: Sequence[tuple[str, str]],
 ) -> None:
-    """Write sample.jsonl, pairs.jsonl and misses.jsonl into ``out_dir``."""
+    """Write sample.jsonl (each item's fields), pairs.jsonl (its English item's
+    fields and ``reference``) and misses.jsonl (the keys) into ``out_dir``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    pipeline.write_records(out_dir / "sample.jsonl", map(_item_record, sample))
+    pipeline.write_records(out_dir / "sample.jsonl", map(vars, sample))
     pipeline.write_records(
-        out_dir / "pairs.jsonl",
-        ({**_item_record(p.en), "reference": p.ar_reference} for p in pairs),
+        out_dir / "pairs.jsonl", ({**vars(p.en), "reference": p.ar_reference} for p in pairs)
     )
     pipeline.write_records(
         out_dir / "misses.jsonl",

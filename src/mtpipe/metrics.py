@@ -9,9 +9,9 @@ All scores are on a 0..100 scale and a perfect match is exactly 100.
 Each metric runs in two steps: gather statistics over the pairs, shard by
 shard on every usable CPU (see ``shards``), then score their sum. The
 statistics are integer n-gram counts and lengths for BLEU and chrF++, and
-per-pair F1 floats for ROUGE-L. Counts add exactly and the F1 floats are
-summed in pair order in one ``sum``, so a score has the same bits however
-the pairs were cut.
+per-pair F1 floats for ROUGE-L. Counts add exactly and floats are added
+left to right by ``_sum_in_order``, so a score has the same bits however the
+pairs were cut and on every supported Python.
 """
 
 from __future__ import annotations
@@ -40,6 +40,15 @@ def _check_corpus(hyps: Sequence[str], refs: Sequence[str], metric: str) -> None
 
 def _summed(parts: list[list[int]]) -> list[int]:
     return [sum(column) for column in zip(*parts)]
+
+
+def _sum_in_order(values: Iterable[float]) -> float:
+    """Plain left-to-right float addition. The builtin ``sum`` compensates
+    float rounding from Python 3.12 on, so it gives other last bits there."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -243,7 +252,7 @@ def chrf_pp(hyps: Sequence[str], refs: Sequence[str]) -> float:
         f_scores.append((1 + beta_sq) * precision * recall / denom if denom > 0 else 0.0)
     if not f_scores:
         return 0.0
-    return 100.0 * sum(f_scores) / len(f_scores)
+    return 100.0 * _sum_in_order(f_scores) / len(f_scores)
 
 
 # --------------------------------------------------------------------------
@@ -308,7 +317,7 @@ def _rouge_stats(hyps: Sequence[str], refs: Sequence[str]) -> list[float]:
 def rouge_l_corpus(hyps: Sequence[str], refs: Sequence[str]) -> float:
     _check_corpus(hyps, refs, "ROUGE-L")
     # One sum over every pair's F1 in pair order, as if unsharded.
-    return sum(chain.from_iterable(gather(_rouge_stats, hyps, refs))) / len(hyps)
+    return _sum_in_order(chain.from_iterable(gather(_rouge_stats, hyps, refs))) / len(hyps)
 
 
 # --------------------------------------------------------------------------

@@ -3,8 +3,13 @@ code-sample exclusion and corpus mixing.
 
 Corpus files are UTF-8 with one flat JSON object per line. Parallel pair
 records carry {ar, en}; four-way records carry {instr_en, instr_ar, resp_en,
-resp_ar, source}. Record serialization is canonical (sorted keys, no ASCII
-escaping) so identical inputs produce byte-identical outputs.
+resp_ar, source}. A record class's fields are its line's keys: writers
+serialize ``vars(record)``, so no writer lists them again. Serialization is
+canonical (sorted keys, no ASCII escaping) so identical inputs produce
+byte-identical outputs.
+
+Every prompt, translation or judge, is one template filled by ``_fill``, and
+an empty text in a prompt or a record is ``EmptyText``.
 """
 
 from __future__ import annotations
@@ -23,18 +28,19 @@ from . import inference
 from .errors import LengthMismatch, ToolError
 from .state import atomic_write
 
-# Prompt sent to the full-size translation model.
-TEACHER_TEMPLATE = "Translate from English to Arabic: {text}"
-
-# Prompt sent to the small fine-tuned translation model. The trailing space
-# on the first line and the em-dash are load-bearing: rendered prompts are
-# compared byte-for-byte against golden files.
-LIGHTWEIGHT_TEMPLATE = (
-    "You are a professional translation engine. \n"
-    "Translate English to Modern Standard Arabic.\n"
-    "Reply ONLY with the Arabic translation—no quotes, notes, or explanations.\n"
-    "Translate everything that follows into Arabic: {text}"
-)
+# Prompts sent to the translation models: "teacher" to the full-size model,
+# "lightweight" to the small fine-tuned one. The trailing space on the
+# lightweight first line and its em-dash are load-bearing: rendered prompts
+# are compared byte-for-byte against golden files.
+_TEMPLATES = {
+    "teacher": "Translate from English to Arabic: {text}",
+    "lightweight": (
+        "You are a professional translation engine. \n"
+        "Translate English to Modern Standard Arabic.\n"
+        "Reply ONLY with the Arabic translation—no quotes, notes, or explanations.\n"
+        "Translate everything that follows into Arabic: {text}"
+    ),
+}
 
 # Prompt sent to the accept/reject judge. Leading and trailing newlines are
 # part of the template.
@@ -52,11 +58,7 @@ JUDGE_TEMPLATE = (
 
 
 class EmptyText(ToolError):
-    pass
-
-
-class EmptyField(ToolError):
-    pass
+    """A text that a prompt or a record needs is empty."""
 
 
 class CountMismatch(ToolError):
@@ -70,13 +72,15 @@ class MalformedLine(ToolError):
         self.line_no = line_no
 
 
-def _fill(template: str, placeholder: str, value: str) -> str:
-    # Single-pass substitution: values containing braces or other
-    # placeholders must pass through verbatim.
-    head, sep, tail = template.partition(placeholder)
-    if not sep:
-        raise ValueError(f"template lacks {placeholder}")
-    return head + value + tail
+def _fill(template: str, *fills: tuple[str, str]) -> str:
+    """Put each (placeholder, value) into ``template``, the placeholders in
+    the order they appear. A single pass: values containing braces or other
+    placeholders pass through verbatim."""
+    parts = []
+    for placeholder, value in fills:
+        head, _, template = template.partition(placeholder)
+        parts += (head, value)
+    return "".join(parts) + template
 
 
 def render_translation_prompt(text: str, template: str = "teacher") -> str:
@@ -87,20 +91,16 @@ def render_translation_prompt(text: str, template: str = "teacher") -> str:
     """
     if not text:
         raise EmptyText("cannot render a prompt for empty text")
-    if template == "teacher":
-        return _fill(TEACHER_TEMPLATE, "{text}", text)
-    if template == "lightweight":
-        return _fill(LIGHTWEIGHT_TEMPLATE, "{text}", text)
-    raise ValueError(f"unknown template {template!r}")
+    if template not in _TEMPLATES:
+        raise ValueError(f"unknown template {template!r}")
+    return _fill(_TEMPLATES[template], ("{text}", text))
 
 
 def render_judge_prompt(ar: str, en: str) -> str:
     """Render the accept/reject judge prompt for one translation pair."""
     if not ar or not en:
         raise EmptyText("judge prompt needs both sides of the pair")
-    head, _, tail = JUDGE_TEMPLATE.partition("{ar_text}")
-    mid, _, tail = tail.partition("{en_text}")
-    return head + ar + mid + en + tail
+    return _fill(JUDGE_TEMPLATE, ("{ar_text}", ar), ("{en_text}", en))
 
 
 class VerdictKind(Enum):
@@ -197,7 +197,7 @@ class InstructionRecord:
 
     def __post_init__(self) -> None:
         if not self.instruction:
-            raise EmptyField("instruction must be non-empty")
+            raise EmptyText("instruction must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,7 @@ def build_bilingual_tuples(
     for record, ar_instruction, ar_response in zip(records, instr_ar, resp_ar):
         fields = (record.instruction, ar_instruction, record.response, ar_response)
         if not all(fields):
-            raise EmptyField(f"record {record.id!r} has an empty tuple field")
+            raise EmptyText(f"record {record.id!r} has an empty tuple field")
         tuples.append(BilingualTuple(*fields))
     return tuples
 
@@ -399,25 +399,17 @@ def load_instruction_records(path: str | Path) -> list[InstructionRecord]:
                     system=obj.get("system"),
                 )
             )
-        except EmptyField as exc:
+        except EmptyText as exc:
             raise MalformedLine(str(path), line_no, str(exc)) from exc
     return records
 
 
 def write_instruction_records(path: str | Path, records: Iterable[InstructionRecord]) -> int:
-    """Write records in the form load_instruction_records reads back."""
+    """Write records in the form load_instruction_records reads back: each
+    record's fields, without a ``system`` that is None."""
     return write_records(
         path,
-        (
-            {
-                "id": r.id,
-                "instruction": r.instruction,
-                "response": r.response,
-                "source": r.source,
-                **({"system": r.system} if r.system is not None else {}),
-            }
-            for r in records
-        ),
+        ({name: value for name, value in vars(r).items() if value is not None} for r in records),
     )
 
 
@@ -431,17 +423,7 @@ def write_bilingual_tuples(
     write one four-way record per input record, tagged with its source."""
     tuples = build_bilingual_tuples(records, instr_ar, resp_ar)
     return write_records(
-        path,
-        (
-            {
-                "instr_en": t.instr_en,
-                "instr_ar": t.instr_ar,
-                "resp_en": t.resp_en,
-                "resp_ar": t.resp_ar,
-                "source": record.source,
-            }
-            for t, record in zip(tuples, records)
-        ),
+        path, ({**vars(t), "source": record.source} for t, record in zip(tuples, records))
     )
 
 

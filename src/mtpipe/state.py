@@ -6,6 +6,11 @@ last known-good journal length, and an append-only journal of completed items
 update. On resume the journal is read line by line; a torn tail past the
 recorded position is truncated, and a whole last entry that lost its newline
 gets it back. An item recorded in the journal is never re-sent.
+
+A job holds an exclusive ``flock`` on its journal from open to close, so a
+second run on the same state stops with ``StateBusy`` before it sends a
+request. The lock is advisory and may not hold across NFS; the kernel drops
+it when its holder dies, even by ``kill -9``.
 """
 
 from __future__ import annotations
@@ -30,15 +35,22 @@ class StateCorrupt(ToolError):
     pass
 
 
+class StateBusy(ToolError):
+    """Another run holds the state's journal lock."""
+
+
 @contextlib.contextmanager
 def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
     """Yield a file (UTF-8 text for "w", bytes for "wb") that becomes ``path``,
     whole and fsynced, only if the block completes; else ``path`` is left as
-    it was and no ``<path>.tmp`` remains. A symlink keeps its link and its
-    target is replaced; a target that is not a regular file (a FIFO, a
-    device) cannot be replaced, so it is written in place, as is any path
-    under /dev or /proc: ``/dev/stdout`` names a descriptor, even when it
-    resolves to the regular file that stdout is redirected to."""
+    it was and no temp file remains. Each writer has a temp file of its own,
+    ``<path>.<pid>-<random>.tmp`` beside the target, so writers that race on
+    one path each leave a whole file and the last rename wins. A symlink
+    keeps its link and its target is replaced; a target that is not a
+    regular file (a FIFO, a device) cannot be replaced, so it is written in
+    place, as is any path under /dev or /proc: ``/dev/stdout`` names a
+    descriptor, even when it resolves to the regular file that stdout is
+    redirected to."""
     encoding = None if "b" in mode else "utf-8"
     if os.path.abspath(path).startswith(("/dev/", "/proc/")) or (
         os.path.exists(path) and not os.path.isfile(path)
@@ -47,9 +59,11 @@ def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
             yield fh
         return
     target = os.path.realpath(path)
-    tmp = target + ".tmp"
+    tmp = f"{target}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    # 0o666 so the umask sets the mode, as for any file the program creates.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(tmp, mode, encoding=encoding) as fh:
+        with open(fd, mode, encoding=encoding) as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
@@ -76,16 +90,33 @@ def run_fingerprint(parts: Iterable[str]) -> str:
 
 
 class JobState:
-    """Completion record for one batch run, bound to a fingerprint."""
+    """Completion record for one batch run, bound to a fingerprint. It holds
+    an exclusive lock on its journal for its life, so a second run on the
+    same state is StateBusy before it sends anything."""
 
     def __init__(self, state_path: str | Path, fingerprint: str):
         self.state_path = Path(state_path)
         self.journal_path = self.state_path.with_name(self.state_path.name + ".journal")
         self.fingerprint = fingerprint
         self.completed: dict[int, str] = {}
-        self._journal = None
         self._since_checkpoint = 0
-        self._load()
+        self.state_path.parent.mkdir(parents=True, exist_ok=True)
+        self._journal = open(self.journal_path, "a+b")
+        try:
+            self._lock()
+            self._load()
+            self.checkpoint()
+        except BaseException:
+            self._journal.close()
+            raise
+
+    def _lock(self) -> None:
+        import fcntl  # here, not at the top: only commands that keep job state load it
+
+        try:
+            fcntl.flock(self._journal, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise StateBusy(f"state {self.state_path} is in use by another run") from None
 
     def _load(self) -> None:
         recorded_pos = 0
@@ -102,30 +133,27 @@ class JobState:
                     f"state at {self.state_path} was created for a different run"
                 )
 
-        self.state_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.journal_path, "a+b") as journal:
-            journal.seek(0)
-            pos = 0
-            for line in journal:
-                try:
-                    entry = json.loads(line.decode("utf-8"))
-                    index, text = entry["i"], entry["text"]
-                    if type(index) is not int or not isinstance(text, str):
-                        raise TypeError(f"entry {entry!r} is not an int index and a str text")
-                except (ValueError, KeyError, TypeError) as exc:  # UnicodeDecodeError too
-                    if pos < recorded_pos:
-                        raise StateCorrupt(f"journal {self.journal_path} damaged before its "
-                                           f"recorded position {recorded_pos}") from exc
-                    journal.truncate(pos)  # torn tail from an interrupted write
-                    break
-                self.completed[index] = text
-                pos += len(line)
-            else:
-                if pos and not line.endswith(b"\n"):  # a whole last entry lost its newline
-                    journal.write(b"\n")
-
-        self._journal = open(self.journal_path, "ab")
-        self.checkpoint()
+        journal = self._journal
+        journal.seek(0)
+        pos = 0
+        for line in journal:
+            try:
+                entry = json.loads(line.decode("utf-8"))
+                index, text = entry["i"], entry["text"]
+                if type(index) is not int or not isinstance(text, str):
+                    raise TypeError(f"entry {entry!r} is not an int index and a str text")
+            except (ValueError, KeyError, TypeError) as exc:  # UnicodeDecodeError too
+                if pos < recorded_pos:
+                    raise StateCorrupt(f"journal {self.journal_path} damaged before its "
+                                       f"recorded position {recorded_pos}") from exc
+                journal.truncate(pos)  # torn tail from an interrupted write
+                break
+            self.completed[index] = text
+            pos += len(line)
+        else:
+            if pos and not line.endswith(b"\n"):  # a whole last entry lost its newline
+                journal.write(b"\n")
+        journal.seek(0, os.SEEK_END)  # appends land at the end; tell() is the length
 
     def record(self, index: int, text: str) -> None:
         """Append one completed item before it is reported. The journal is

@@ -123,8 +123,7 @@ def test_quantize_names_the_tensor_that_is_not_finite(tmp_path, rng, caplog):
     out = tmp_path / "model-fp8.safetensors"
     assert run_cli(["quantize", "--in", str(src), "--out", str(out)]) == 1
     assert "'layer.7.w': scale computation requires finite values" in caplog.text
-    assert not out.exists()
-    assert not out.with_name(out.name + ".tmp").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.safetensors"]
 
 
 @pytest.mark.parametrize("dtype", [DType.F32, DType.BF16], ids=lambda d: d.value)

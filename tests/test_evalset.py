@@ -148,6 +148,24 @@ def test_align_duplicate_reference_keys():
         evalset.align_references(sample, dup)
 
 
+def test_eval_set_files_round_trip(tmp_path):
+    sample = [QuestionItem("math", "7", "What is {2+2}?"), QuestionItem("لغة", "x-1", "سؤال")]
+    pairs = [AlignedPair(sample[0], "كم يساوي")]
+    evalset.write_eval_set(tmp_path, sample, pairs, [sample[1].key])
+    assert (tmp_path / "sample.jsonl").read_bytes() == (
+        '{"item_id":"7","subject":"math","text":"What is {2+2}?"}\n'
+        '{"item_id":"x-1","subject":"لغة","text":"سؤال"}\n'
+    ).encode("utf-8")
+    assert (tmp_path / "pairs.jsonl").read_bytes() == (
+        '{"item_id":"7","reference":"كم يساوي","subject":"math","text":"What is {2+2}?"}\n'
+    ).encode("utf-8")
+    assert (tmp_path / "misses.jsonl").read_bytes() == (
+        '{"item_id":"x-1","subject":"لغة"}\n'.encode("utf-8")
+    )
+    assert evalset.load_question_items(tmp_path / "sample.jsonl") == sample
+    assert evalset.load_aligned_pairs(tmp_path / "pairs.jsonl") == pairs
+
+
 # --------------------------------------------------------------------------
 # Reports
 # --------------------------------------------------------------------------

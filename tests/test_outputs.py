@@ -5,6 +5,7 @@ output that names its own input still works."""
 
 from __future__ import annotations
 
+import contextlib
 import os
 import stat
 import subprocess
@@ -171,3 +172,44 @@ def test_an_output_naming_its_input_is_replaced_whole(tmp_path, command, capsys)
     assert cli.main(_argv(command, src, src)) == 0
     assert src.read_bytes() == plain.read_bytes()
     assert _names(tmp_path) == ["plain", src.name]
+
+
+_RACING_WRITER = """
+import os, sys
+from mtpipe.state import atomic_write
+path, tag, lines = sys.argv[1], sys.argv[2], int(sys.argv[3])
+os.umask(0o027)
+with atomic_write(path) as fh:
+    fh.write(f"{tag} 0\\n")
+    fh.flush()
+    print("open", flush=True)
+    sys.stdin.readline()  # the barrier: both writers have their temp file open
+    fh.writelines(f"{tag} {i}\\n" for i in range(1, lines))
+"""
+
+
+def test_two_writers_racing_on_one_output_each_leave_a_whole_file(tmp_path):
+    """Both writers exit 0, the output is one writer's bytes, with the mode the
+    umask gives a new file, and no temp file is left."""
+    out = tmp_path / "out"
+    sizes = {"a": 5_000, "b": 20_000}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    with contextlib.ExitStack() as stack:
+        writers = [
+            stack.enter_context(subprocess.Popen(
+                [sys.executable, "-c", _RACING_WRITER, str(out), tag, str(n)],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True, env=env,
+            ))
+            for tag, n in sizes.items()
+        ]
+        for writer in writers:
+            assert writer.stdout.readline() == "open\n", writer.stderr.read()
+        for writer in writers:
+            writer.stdin.close()
+        for writer in writers:
+            assert writer.wait(timeout=60) == 0, writer.stderr.read()
+    whole = {"".join(f"{tag} {i}\n" for i in range(n)).encode() for tag, n in sizes.items()}
+    assert out.read_bytes() in whole
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert _names(tmp_path) == ["out"]

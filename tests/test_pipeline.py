@@ -10,7 +10,6 @@ from mtpipe import pipeline
 from mtpipe.inference import EndpointConfig, ExhaustedRetries
 from mtpipe.pipeline import (
     BilingualTuple,
-    EmptyField,
     EmptyText,
     FilterStats,
     InstructionRecord,
@@ -211,9 +210,9 @@ def test_build_tuples_length_mismatch():
 
 
 def test_build_tuples_empty_field():
-    with pytest.raises(EmptyField):
+    with pytest.raises(EmptyText):
         pipeline.build_bilingual_tuples([record(0)], [""], ["x"])
-    with pytest.raises(EmptyField):
+    with pytest.raises(EmptyText):
         pipeline.build_bilingual_tuples([record(0, response="")], ["x"], ["y"])
 
 
@@ -420,6 +419,23 @@ def test_instruction_records_load(tmp_path):
     records = pipeline.load_instruction_records(path)
     assert records[0].id == "7" and records[0].source == "src"
     assert records[1].id == "1" and records[1].source == "r"
+
+    written = [
+        InstructionRecord("a-1", "ask", "ans", "web", system="Be brief."),
+        InstructionRecord("b-2", "سؤال", "جواب", "books"),
+        InstructionRecord("c-3", "ask {text}", "", "books", system=""),
+    ]
+    path = tmp_path / "w.jsonl"
+    assert pipeline.write_instruction_records(path, written) == 3
+    expected = (
+        '{"id":"a-1","instruction":"ask","response":"ans","source":"web","system":"Be brief."}\n'
+        '{"id":"b-2","instruction":"سؤال","response":"جواب","source":"books"}\n'
+        '{"id":"c-3","instruction":"ask {text}","response":"","source":"books","system":""}\n'
+    ).encode("utf-8")
+    assert path.read_bytes() == expected
+    assert pipeline.load_instruction_records(path) == written
+    pipeline.write_instruction_records(path, pipeline.load_instruction_records(path))
+    assert path.read_bytes() == expected
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import fcntl
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from mtpipe import cli, pipeline
-from mtpipe.state import JobState, StateCorrupt, StateMismatch, run_fingerprint
+from mtpipe.state import JobState, StateBusy, StateCorrupt, StateMismatch, run_fingerprint
+
+from stubserver import StubEndpoint
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_fingerprint_sensitive_to_parts_and_boundaries():
@@ -168,3 +175,44 @@ def test_unreadable_state_file_is_state_corrupt(tmp_path, caplog, content):
     [record] = caplog.records
     assert "unreadable state file" in record.getMessage()
     assert not out.exists()
+
+
+def test_a_run_on_a_state_another_run_holds_is_busy_and_sends_nothing(tmp_path, caplog):
+    pairs = tmp_path / "pairs.jsonl"
+    pipeline.write_parallel_pairs(pairs, [("نعم", "yes"), ("لا", "no")])
+    state = tmp_path / "judge.state"
+    accepted = tmp_path / "accepted.jsonl"
+    with open(state.with_name(state.name + ".journal"), "ab") as held, \
+            StubEndpoint(lambda prompt, nth: ("ok", "accept")) as stub:
+        fcntl.flock(held, fcntl.LOCK_EX)  # as the run holding the state does
+        code = cli.main(["judge", "--in", str(pairs), "--accepted", str(accepted),
+                         "--base-url", stub.base_url, "--model", "m", "--state", str(state)])
+    assert code == 1
+    assert stub.requests == []
+    assert f"state {state} is in use by another run" in caplog.text
+    assert not accepted.exists() and not state.exists()
+
+
+_HOLDER = """
+import sys
+from mtpipe.state import JobState
+with JobState(sys.argv[1], "fp") as state:
+    state.record(0, "zero")
+    print("holding", flush=True)
+    sys.stdin.readline()
+"""
+
+
+def test_a_lock_holder_killed_by_sigkill_does_not_block_the_next_run(tmp_path):
+    path = tmp_path / "job.state"
+    with subprocess.Popen(
+        [sys.executable, "-c", _HOLDER, str(path)], stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    ) as holder:
+        assert holder.stdout.readline() == "holding\n"
+        with pytest.raises(StateBusy, match=f"state {path} is in use by another run"):
+            JobState(path, "fp")
+        holder.kill()
+        holder.wait(timeout=30)
+    with JobState(path, "fp") as state:
+        assert state.completed == {0: "zero"}
