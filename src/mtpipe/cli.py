@@ -10,8 +10,6 @@ flags override the file.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import hashlib
 import json
 import logging
 import os
@@ -19,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from . import evalset, inference, merge, metrics, pipeline, quant, tensorio
+from . import evalset, inference, merge, metrics, pipeline, quant, state, tensorio
 from .errors import ToolError
 from .state import JobState, atomic_write, run_fingerprint
 
@@ -89,14 +87,6 @@ def _endpoint_from(args: argparse.Namespace) -> tuple[inference.EndpointConfig, 
     return cfg, concurrency
 
 
-def _file_digest(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _run_once(
     state_path: str | None, outs: list[str | None], work: Callable[[], None],
     parts: Callable[[], list[str]],
@@ -108,12 +98,12 @@ def _run_once(
         work()
         return
     fingerprint_parts = parts()
-    with JobState(state_path, run_fingerprint(fingerprint_parts)) as state:
-        if 0 in state.completed and all(Path(out).exists() for out in outs if out):
+    with JobState(state_path, run_fingerprint(fingerprint_parts)) as job:
+        if 0 in job.completed and all(Path(out).exists() for out in outs if out):
             log.info("%s already complete; nothing to do", fingerprint_parts[0])
             return
         work()
-        state.record(0, str(outs[0]))
+        job.record(0, str(outs[0]))
 
 
 # --------------------------------------------------------------------------
@@ -147,7 +137,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
             parallel_eps=args.eps,
             name_policy=merge.MissingPolicy(args.on_missing),
         )
-    except (ValueError, merge.TOutOfRange) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
     with tensorio.open_checkpoint(args.a) as a, tensorio.open_checkpoint(args.b) as b:
         merged = merge.merge_stream(a, b, spec)
@@ -170,7 +160,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             f"BLEU {report.bleu:.1f} ROUGE-L {report.rouge_l:.1f} "
             f"chrF++ {report.chrf_pp:.1f} n={report.n_pairs}"
         )
-        payload = dataclasses.asdict(report)
+        payload = vars(report)
     else:
         label, corpus_score = {"bleu": ("BLEU", metrics.bleu_corpus),
                                "chrf": ("chrF++", metrics.chrf_pp),
@@ -241,8 +231,8 @@ def cmd_pair(args: argparse.Namespace) -> int:
         log.info("paired %d records -> %s", n, args.out)
 
     _run_once(args.state, [args.out], work, lambda: [
-        "pair", _file_digest(args.records), _file_digest(args.instr_ar),
-        _file_digest(args.resp_ar), str(args.out)])
+        "pair", state._file_digest(args.records), state._file_digest(args.instr_ar),
+        state._file_digest(args.resp_ar), str(args.out)])
     return 0
 
 
@@ -256,7 +246,7 @@ def cmd_filter_code(args: argparse.Namespace) -> int:
         print(f"kept={len(kept)} dropped={dropped}")
 
     _run_once(args.state, [args.out], work, lambda: [
-        "filter-code", _file_digest(args.in_path), str(args.min_code_lines),
+        "filter-code", state._file_digest(args.in_path), str(args.min_code_lines),
         repr(args.symbol_ratio), str(args.out)])
     return 0
 
@@ -286,7 +276,7 @@ def cmd_mix(args: argparse.Namespace) -> int:
 
     _run_once(args.state, [args.out, args.manifest], work, lambda: [
         "mix", str(args.out), str(shuffle_seed),
-        *(f"{s.name}={_file_digest(s.path)}={s.expected}" for s in sources)])
+        *(f"{s.name}={state._file_digest(s.path)}={s.expected}" for s in sources)])
     return 0
 
 

@@ -32,7 +32,7 @@ from .tensorio import (
 )
 
 
-class TOutOfRange(ToolError):
+class TOutOfRange(ToolError, ValueError):
     pass
 
 

@@ -176,8 +176,6 @@ def bleu_corpus(
             precision = correct[n - 1] / total[n - 1]
         log_sum += math.log(precision)
 
-    if hyp_len == 0:
-        return 0.0
     brevity = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
     return 100.0 * brevity * math.exp(log_sum / m)
 

@@ -24,7 +24,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import inference
+from . import evalset, inference
 from .errors import LengthMismatch, ToolError
 from .state import atomic_write
 
@@ -473,8 +473,6 @@ def mix_corpora(
         counts.append((source.name, n))
 
     if shuffle_seed is not None:
-        from .evalset import shuffled
-
-        lines = shuffled(lines, shuffle_seed)
+        lines = evalset.shuffled(lines, shuffle_seed)
 
     return MixManifest(counts=tuple(counts), total=write_lines(out_path, lines))

@@ -11,12 +11,14 @@ A job holds an exclusive ``flock`` on its journal from open to close, so a
 second run on the same state stops with ``StateBusy`` before it sends a
 request. The lock is advisory and may not hold across NFS; the kernel drops
 it when its holder dies, even by ``kill -9``.
+
+Hashing is here alone, and only a run that keeps job state does it:
+``run_fingerprint`` and ``_file_digest`` import ``hashlib`` when called.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -81,11 +83,23 @@ def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
 
 def run_fingerprint(parts: Iterable[str]) -> str:
     """Hash a sequence of strings into a run identity."""
+    import hashlib
+
     digest = hashlib.sha256()
     for part in parts:
         blob = part.encode("utf-8")
         digest.update(len(blob).to_bytes(8, "little"))
         digest.update(blob)
+    return digest.hexdigest()
+
+
+def _file_digest(path: str | Path) -> str:
+    import hashlib
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
     return digest.hexdigest()
 
 

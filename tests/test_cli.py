@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import io
 import json
 import logging
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mtpipe import cli, pipeline, quant, shards, tensorio as tio
+from mtpipe import cli, metrics, pipeline, quant, shards, tensorio as tio
 from mtpipe.inference import EndpointConfig
 from mtpipe.state import JobState
 from mtpipe.tensorio import Checkpoint, DType, tensor_from_f64
@@ -241,6 +243,19 @@ def test_score_identical_files(tmp_path, capsys):
     assert line == "BLEU 100.0 ROUGE-L 100.0 chrF++ 100.0 n=2"
     payload = json.loads(report_path.read_text())
     assert payload["bleu"] == 100.0
+
+
+def test_score_all_report_is_the_metric_report_as_sorted_json(tmp_path):
+    hyps = ["the cat sat on the mat", "a quick brown fox", "ein Satz hier"]
+    refs = ["the cat sat on a mat", "the quick brown fox jumps", "ein anderer Satz"]
+    hyp, ref, report_path = tmp_path / "hyp.txt", tmp_path / "ref.txt", tmp_path / "all.json"
+    hyp.write_text("".join(f"{h}\n" for h in hyps), encoding="utf-8")
+    ref.write_text("".join(f"{r}\n" for r in refs), encoding="utf-8")
+    assert run_cli(["score", "--hyp", str(hyp), "--ref", str(ref), "--metric", "all",
+                    "--report", str(report_path)]) == 0
+    report = metrics.evaluate_pairs(zip(hyps, refs))
+    want = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
+    assert report_path.read_text(encoding="utf-8") == want
 
 
 def test_score_single_metric(tmp_path, capsys):
@@ -707,11 +722,24 @@ def test_local_step_upgrades_an_old_done_marker(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_local_step_fingerprint_is_sha256_of_length_framed_parts(tmp_path):
+    # The golden manifest leaves state files out, so this pins their fingerprint:
+    # the input's sha256 hex, then each part as an 8-byte little-endian length
+    # and its UTF-8 bytes, all under one sha256.
+    state = tmp_path / "step.state"
+    assert run_cli(_local_step_args(tmp_path, "filter-code") + ["--state", str(state)]) == 0
+    digest = hashlib.sha256((tmp_path / "records.jsonl").read_bytes()).hexdigest()
+    parts = ["filter-code", digest, "3", "0.3", str(tmp_path / "out.jsonl")]
+    framed = b"".join(len(b).to_bytes(8, "little") + b for b in (p.encode() for p in parts))
+    assert json.loads(state.read_text())["fingerprint"] == hashlib.sha256(framed).hexdigest()
+
+
 @pytest.mark.parametrize("with_state, digests", [(False, 0), (True, 1)])
 def test_local_step_hashes_its_input_only_under_state(tmp_path, monkeypatch, with_state, digests):
     hashed = []
-    file_digest = cli._file_digest
-    monkeypatch.setattr(cli, "_file_digest", lambda path: hashed.append(path) or file_digest(path))
+    file_digest = cli.state._file_digest
+    monkeypatch.setattr(cli.state, "_file_digest",
+                        lambda path: hashed.append(path) or file_digest(path))
     args = _local_step_args(tmp_path, "filter-code")
     if with_state:
         args += ["--state", str(tmp_path / "step.state")]

@@ -131,6 +131,11 @@ def test_shape_mismatch_and_t_range(rng):
         merge.slerp_vec(a, a, 1.5)
     with pytest.raises(merge.TOutOfRange):
         merge.MergeSpec(t=-0.1)
+    # Also a ValueError, as quant.BadScale is.
+    with pytest.raises(ValueError, match="t must lie in"):
+        merge.MergeSpec(t=1.5)
+    with pytest.raises(ValueError, match="t must lie in"):
+        merge.slerp_vec(a, rng.normal(size=4), -0.1)
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])

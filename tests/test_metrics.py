@@ -273,6 +273,12 @@ def test_bleu_short_perfect_match_scores_zero():
     assert metrics.bleu_corpus(["x y"], ["x y"]) == 0.0
 
 
+@pytest.mark.parametrize("smoothing", ["exp", "none"])
+def test_bleu_of_all_empty_hypotheses_is_zero(smoothing):
+    opts = metrics.BleuOptions(smoothing=smoothing)
+    assert metrics.bleu_corpus(["", " "], ["a b c d", "e"], opts) == 0.0
+
+
 def test_evaluate_pairs_empty():
     with pytest.raises(metrics.EmptyCorpus):
         metrics.evaluate_pairs([])

@@ -20,6 +20,9 @@ from mtpipe import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 HEAVY = ("numpy", "http.client", "ssl", "urllib.request")
+# Standard modules only some paths load: hashing in a run that keeps job
+# state, dataclasses in the submodules that define data classes.
+PATH_ONLY = ("hashlib", "_hashlib", "dataclasses")
 
 
 def _load_spans():
@@ -48,7 +51,7 @@ import json, sys
 from mtpipe.cli import build_parser
 build_parser()
 print(json.dumps([
-    [m for m in {HEAVY!r} if m in sys.modules],
+    [m for m in {HEAVY + PATH_ONLY!r} if m in sys.modules],
     [m for m in {TRACED_MODULES!r} if "mtpipe." + m not in sys.modules],
 ]))
 """
@@ -82,14 +85,47 @@ runs = [
      "--outputs", str(work / "outputs.txt"), "--name", "x"],
 ]
 codes = [main(argv) for argv in runs]
-print(json.dumps([codes, [m for m in {HEAVY!r} if m in sys.modules]]))
+loaded = [m for m in {HEAVY + ("_hashlib",)!r} if m in sys.modules]
+codes.append(main([*runs[0], "--state", str(work / "step.state")]))
+print(json.dumps([codes, loaded, "_hashlib" in sys.modules]))
 """
 
 
 def test_corpus_and_eval_commands_load_no_numpy_or_http(tmp_path):
-    codes, loaded_heavy = _child(_COMMANDS_CHILD, str(tmp_path))
-    assert codes == [0, 0, 0, 0]
-    assert loaded_heavy == []
+    codes, loaded, hashed_under_state = _child(_COMMANDS_CHILD, str(tmp_path))
+    assert codes == [0, 0, 0, 0, 0]
+    assert loaded == []
+    assert hashed_under_state
+
+
+_CHECKPOINT_CHILD = """
+import json, struct, sys
+from pathlib import Path
+from mtpipe.cli import main
+
+work = Path(sys.argv[1])
+def write(name, values):
+    bits = [struct.unpack("<I", struct.pack("<f", v))[0] >> 16 for v in values]
+    data = struct.pack(f"<{len(bits)}H", *bits)
+    header = json.dumps({"w": {"dtype": "BF16", "shape": [len(bits)],
+                               "data_offsets": [0, len(data)]}}).encode()
+    (work / name).write_bytes(struct.pack("<Q", len(header)) + header + data)
+
+write("a.safetensors", [1.0, -2.0, 0.5, 3.0])
+write("b.safetensors", [0.5, 2.0, -1.0, 1.5])
+codes = [
+    main(["quantize", "--in", str(work / "a.safetensors"), "--out", str(work / "q.safetensors")]),
+    main(["merge", "--a", str(work / "q.safetensors"), "--b", str(work / "b.safetensors"),
+          "--out", str(work / "m.safetensors")]),
+]
+print(json.dumps([codes, "_hashlib" in sys.modules]))
+"""
+
+
+def test_quantize_and_merge_hash_nothing(tmp_path):
+    codes, hashed = _child(_CHECKPOINT_CHILD, str(tmp_path))
+    assert codes == [0, 0]
+    assert not hashed
 
 
 _SAMPLING_CHILD = """
