@@ -4,7 +4,7 @@ reference-based machine-translation evaluation.
 Every submodule but ``cli`` is registered here as a lazy module: it is in
 ``sys.modules`` and on the package at once, and its code runs on the first
 attribute access. So a command loads numpy (``tensorio``, ``fp8``, ``quant``,
-``merge``) or ``http.client`` (``inference``) only when it uses them. ``cli``
+``merge``) or ``socket`` (``inference``) only when it uses them. ``cli``
 is the entry point and is left to a plain import, so that ``python -m
 mtpipe.cli`` finds it unloaded and runs it once.
 

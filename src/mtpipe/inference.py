@@ -1,9 +1,10 @@
 """Client for OpenAI-compatible chat-completion endpoints.
 
-One request per prompt, sent as a single user message. Transient failures
-(connection errors, 429, 5xx) are retried with exponential backoff plus
-jitter; other statuses, redirects included, fail at once; a batch that stops
-(a failure or Ctrl-C) cuts its running backoffs short. A batch runs on worker
+One request per prompt, sent as a single user message in one write over this
+module's own HTTP/1.1 client, ``_Connection``. Transient failures (connection
+errors, 429, 5xx) are retried with exponential backoff plus jitter; other
+statuses, redirects included, fail at once; a batch that stops (a failure or
+Ctrl-C) cuts its running backoffs short. A batch runs on worker
 threads of its own, one per request in flight, each keeping one keep-alive
 connection until the batch ends; a call outside a batch opens and closes its
 own. A batch returns outputs in item order and journals every completion
@@ -15,15 +16,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import queue
 import random
+import re
+import socket
 import threading
 from dataclasses import dataclass
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from itertools import islice
 from pathlib import Path
 from urllib.parse import urlsplit
-from urllib.request import getproxies, proxy_bypass
 
 from .errors import ToolError
 from .state import JobState, StateMismatch, run_fingerprint
@@ -65,6 +67,9 @@ class EndpointConfig:
             raise ValueError(f"{bad_url}: {exc}") from exc
         if url.scheme not in ("http", "https") or not url.hostname or port == 0:
             raise ValueError(bad_url)
+        head = self.base_url.replace(" ", "\n") + (self.api_key or "")  # sent as they are
+        if not (head.isascii() and head.isprintable()):
+            raise ValueError("base_url and api_key must be printable ASCII, base_url spaceless")
         if not math.isfinite(self.temperature):
             raise ValueError("temperature must be finite")
         for name in ("timeout", "backoff_base"):  # no socket timeout or wait is longer
@@ -87,37 +92,155 @@ _worker = threading.local()  # in a run_batch worker: its connection and its bat
 _NEVER = threading.Event()  # the backoff of a call made outside run_batch's workers
 
 
-def _open(base_url: str, timeout: float) -> tuple[HTTPConnection, str]:
-    """Connect through HTTP(S)_PROXY unless NO_PROXY names the host."""
-    url = base_url.rstrip("/") + "/v1/chat/completions"
-    parts = urlsplit(url)
-    cls = HTTPSConnection if parts.scheme == "https" else HTTPConnection
-    proxy = getproxies().get(parts.scheme)
-    if not proxy or proxy_bypass(parts.netloc):
-        return cls(parts.hostname, parts.port, timeout=timeout), parts.path
-    via = urlsplit(proxy if "://" in proxy else "http://" + proxy)
-    try:
-        conn = cls(via.hostname, via.port or 80, timeout=timeout)
-    except ValueError as exc:
-        raise BadProxy(f"{parts.scheme} proxy setting {proxy!r}: {exc}") from exc
-    if parts.scheme == "http":  # an HTTP proxy takes the absolute URI
-        return conn, url
-    conn.set_tunnel(parts.hostname, parts.port)
-    return conn, parts.path
+# A reply is held whole in memory while it is parsed. Even 100,000 tokens of
+# \uXXXX-escaped JSON are a few MB, so a larger body is a misbehaving endpoint.
+_REPLY_CAP = 16 * 2**20
+_LINE_CAP, _FIELD_CAP = 65536, 100  # bytes per head line, lines per head: http.client's limits
+_STATUS_LINE = re.compile(rb"HTTP/1\.(\d) ([1-9]\d\d)\b")
 
 
-def _post(conn: HTTPConnection, target: str, body: bytes, headers: dict) -> tuple[int, bytes]:
-    """Send one request and read the whole reply. Any error closes the connection;
-    a reused one the server dropped while idle gets one resend on a new one."""
-    for resend in (conn.sock is not None, False):
-        try:
-            conn.request("POST", target, body, headers)
-            response = conn.getresponse()
-            return response.status, response.read()
-        except BaseException as exc:
-            conn.close()
-            if not (resend and isinstance(exc, ConnectionError)):
-                raise
+class _Connection:
+    """One HTTP/1.1 connection to the endpoint, or to its proxy, that POSTs to
+    /v1/chat/completions. It opens on first use and stays open until the server
+    ends it, a request fails, or ``close`` is called. A framing fault in a reply
+    is an OSError that is not a ConnectionError, so it gets no resend."""
+
+    def __init__(self, cfg: EndpointConfig) -> None:
+        url = cfg.base_url.rstrip("/") + "/v1/chat/completions"
+        parts = urlsplit(url)
+        authority, target = parts.netloc.rpartition("@")[2], parts.path
+        self.tls = parts.hostname if parts.scheme == "https" else None
+        self.address = (parts.hostname, parts.port or (443 if self.tls else 80))
+        self.timeout, self.tunnel, proxy = cfg.timeout, None, None
+        if any(name.lower() == parts.scheme + "_proxy" for name in os.environ):  # else no proxy
+            from urllib.request import getproxies, proxy_bypass  # by the standard library's rules
+            proxy = None if proxy_bypass(parts.netloc) else getproxies().get(parts.scheme)
+        if proxy:
+            via = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            try:
+                self.address = (via.hostname, via.port or 80)
+            except ValueError as exc:  # a port that is not a number or out of range
+                raise BadProxy(f"{parts.scheme} proxy setting {proxy!r}: {exc}") from exc
+            if self.tls:  # an https endpoint is reached through a CONNECT tunnel
+                self.tunnel = authority if parts.port else authority.rstrip(":") + ":443"
+            else:  # an HTTP proxy takes the absolute URI
+                target = url
+        auth = f"Authorization: Bearer {cfg.api_key}\r\n" if cfg.api_key else ""
+        self.request_head = (f"POST {target} HTTP/1.1\r\nHost: {authority}\r\n"
+                             f"Accept-Encoding: identity\r\nContent-Type: application/json\r\n"
+                             f"{auth}Content-Length: ")
+        self.sock = self.reader = self.context = None
+
+    def post(self, body: bytes) -> tuple[int, bytes]:
+        """Send one request in one write and read the whole reply. Any error closes
+        the connection; a reused one the server dropped while idle gets one resend."""
+        request = (self.request_head + f"{len(body)}\r\n\r\n").encode("ascii") + body
+        for resend in (self.sock is not None, False):
+            try:
+                if self.sock is None:
+                    self._connect()
+                self.sock.sendall(request)
+                return self._reply()
+            except BaseException as exc:
+                self.close()
+                if not (resend and isinstance(exc, ConnectionError)):
+                    raise
+
+    def close(self) -> None:
+        for part in (self.reader, self.sock):
+            if part is not None:
+                part.close()
+        self.sock = self.reader = None
+
+    def _connect(self) -> None:
+        self.sock = socket.create_connection(self.address, self.timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if self.tunnel:
+            connect = f"CONNECT {self.tunnel} HTTP/1.1\r\nHost: {self.tunnel}\r\n\r\n"
+            self.sock.sendall(connect.encode())
+            self.reader = self.sock.makefile("rb")  # nothing follows the reply till TLS starts
+            if (status := self._head()[0]) != 200:
+                raise OSError(f"proxy tunnel failed: HTTP {status}")
+        if self.tls:
+            import ssl
+
+            if self.context is None:  # one per connection object: it reads the trust store
+                self.context = ssl.create_default_context()
+                self.context.set_alpn_protocols(["http/1.1"])
+            self.sock = self.context.wrap_socket(self.sock, server_hostname=self.tls)
+        self.reader = self.sock.makefile("rb")
+
+    def _line(self) -> bytes:
+        line = self.reader.readline(_LINE_CAP + 1)
+        if len(line) > _LINE_CAP:
+            raise OSError(f"reply line over {_LINE_CAP} bytes")
+        return line
+
+    def _fields(self) -> dict[bytes, bytes]:
+        """Header (or trailer) fields up to the blank line, by lowercase name."""
+        fields: dict[bytes, bytes] = {}
+        for _ in range(_FIELD_CAP + 1):
+            line = self._line()
+            if line in (b"\r\n", b"\n", b""):
+                return fields
+            name, _, value = line.partition(b":")
+            fields[name.strip().lower()] = value.strip()
+        raise OSError(f"more than {_FIELD_CAP} header lines")
+
+    def _head(self) -> tuple[int, dict[bytes, bytes], bool]:
+        """Status, header fields, and whether the connection stays open after the reply."""
+        line = self._line()
+        if not line:  # closed unanswered, as after an idle timeout: a ConnectionError
+            raise ConnectionResetError("the server closed the connection without a reply")
+        if not (match := _STATUS_LINE.match(line)):
+            raise OSError(f"bad status line {line[:80]!r}")
+        fields = self._fields()
+        tokens = {token.strip() for token in fields.get(b"connection", b"").lower().split(b",")}
+        keep = b"keep-alive" in tokens if match[1] == b"0" else b"close" not in tokens
+        return int(match[2]), fields, keep
+
+    def _reply(self) -> tuple[int, bytes]:
+        status, fields, keep = self._head()
+        while status < 200:  # an interim reply, such as 100 Continue
+            status, fields, keep = self._head()
+        length = fields.get(b"content-length")
+        if status in (204, 304):
+            data = b""
+        elif fields.get(b"transfer-encoding", b"").lower() == b"chunked":
+            data = self._chunked()
+        elif length is not None:
+            if not length.isdigit():
+                raise OSError(f"bad Content-Length {length[:40]!r}")
+            data = self._body(int(length))
+        else:  # the body ends where the server closes the connection
+            keep, data = False, self.reader.read(_REPLY_CAP + 1)
+            self._body(0, len(data))
+        if not keep:
+            self.close()
+        return status, data
+
+    def _chunked(self) -> bytes:
+        pieces, total = [], 0
+        while True:
+            size = self._line().split(b";", 1)[0].strip()  # a chunk extension is ignored
+            if not size or size.strip(b"0123456789abcdefABCDEF"):
+                raise OSError(f"bad chunk size line {size[:40]!r}")
+            if not int(size, 16):
+                self._fields()  # the trailer
+                return b"".join(pieces)
+            pieces.append(self._body(int(size, 16), total))
+            total += len(pieces[-1])
+            if self.reader.read(2) != b"\r\n":
+                raise OSError("chunk data not followed by CRLF")
+
+    def _body(self, size: int, total: int = 0) -> bytes:
+        """The next ``size`` bytes of a body ``total`` bytes into it, refused past the cap."""
+        if total + size > _REPLY_CAP:
+            raise MalformedResponse(f"reply body over {_REPLY_CAP} bytes")
+        data = self.reader.read(size)
+        if len(data) < size:
+            raise OSError(f"reply body ended after {len(data)} of {size} bytes")
+        return data
 
 
 def chat_complete(cfg: EndpointConfig, prompt: str) -> str:
@@ -129,19 +252,15 @@ def chat_complete(cfg: EndpointConfig, prompt: str) -> str:
         "temperature": cfg.temperature,
         "max_tokens": cfg.max_tokens,
     }).encode("utf-8")
-    headers = {"Content-Type": "application/json"}
-    if cfg.api_key:
-        headers["Authorization"] = f"Bearer {cfg.api_key}"
-
     in_worker = hasattr(_worker, "conn")
-    conn, target = _worker.conn if in_worker else _open(cfg.base_url, cfg.timeout)
+    conn = _worker.conn if in_worker else _Connection(cfg)
     stop = _worker.stop if in_worker else _NEVER
     last_cause: Exception | None = None
     try:
         for attempt in range(cfg.max_retries + 1):
             try:
-                status, data = _post(conn, target, body, headers)
-            except (OSError, HTTPException) as exc:
+                status, data = conn.post(body)
+            except OSError as exc:
                 last_cause = exc
             else:
                 if 200 <= status < 300:
@@ -212,8 +331,8 @@ def run_batch(
     pending = (item for item in items if item.index not in state.completed)
     inbox, outbox, stop = queue.SimpleQueue(), queue.SimpleQueue(), threading.Event()
 
-    def work(conn: HTTPConnection, target: str) -> None:  # forwards every outcome
-        _worker.conn, _worker.stop = (conn, target), stop  # stop also cuts short a backoff
+    def work(conn: _Connection) -> None:  # forwards every outcome
+        _worker.conn, _worker.stop = conn, stop  # stop also cuts short a backoff
         for item in iter(inbox.get, None):
             try:
                 outcome = None if stop.is_set() else chat_complete(cfg, item.prompt)
@@ -223,8 +342,8 @@ def run_batch(
         conn.close()
 
     # Opened here, so that a failure to set one up raises before any worker starts.
-    connections = [_open(cfg.base_url, cfg.timeout) for _ in range(concurrency)]
-    workers = [threading.Thread(target=work, args=connection) for connection in connections]
+    connections = [_Connection(cfg) for _ in range(concurrency)]
+    workers = [threading.Thread(target=work, args=(connection,)) for connection in connections]
     for worker in workers:
         worker.start()
     window, failure = 0, None

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import datetime
 import gc
+import json
 import os
 import random
+import re
 import signal
+import socket
+import socketserver
+import ssl
 import subprocess
 import sys
 import threading
@@ -610,3 +616,287 @@ def test_sigint_cuts_short_the_backoff_of_a_503_storm_and_resume_sends_only_the_
             assert run_batch(items, cfg, 2, state) == [item.prompt for item in items]
         resent = stub.requests[sent_first:]
         assert sorted(resent) == [item.prompt for item in items if item.prompt not in journaled]
+
+
+class _Server(socketserver.ThreadingTCPServer):
+    """A TCP server that serves on a thread of its own until its ``with`` block ends."""
+
+    daemon_threads = True
+    block_on_close = False
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        # A short poll: shutdown() waits for the loop to see it.
+        self._thread = threading.Thread(target=self.serve_forever, args=(0.05,), daemon=True)
+        self._thread.start()
+
+    def __exit__(self, *exc):
+        self.shutdown()
+        self._thread.join(timeout=5)
+        super().__exit__(*exc)
+
+
+class RawEndpoint(_Server):
+    """Answers the n-th request (from 0) with ``reply(n, prompt)``: the raw bytes
+    to send, then "keep" to serve the next request on that connection or "close"
+    to close it. It keeps each request's head and counts the connections."""
+
+    def __init__(self, reply, family=socket.AF_INET):
+        self.address_family = family
+        self.reply, self.heads, self.connections = reply, [], 0
+        self.lock = threading.Lock()
+        super().__init__(("::1" if family == socket.AF_INET6 else "127.0.0.1", 0), _RawHandler)
+
+    @property
+    def base_url(self) -> str:
+        host, port = self.server_address[:2]
+        return f"http://[{host}]:{port}" if ":" in host else f"http://{host}:{port}"
+
+
+class _RawHandler(socketserver.StreamRequestHandler):
+    def handle(self):
+        raw = self.server
+        with raw.lock:
+            raw.connections += 1
+        while True:
+            head = b""
+            while (line := self.rfile.readline()) not in (b"\r\n", b""):
+                head += line
+            if not line:  # the client closed the connection
+                return
+            length = int(re.search(rb"Content-Length: (\d+)", head)[1])
+            prompt = json.loads(self.rfile.read(length))["messages"][0]["content"]
+            with raw.lock:
+                raw.heads.append(head)
+                n = len(raw.heads) - 1
+            data, then = raw.reply(n, prompt)
+            try:
+                self.wfile.write(data)
+            except OSError:  # the client gave up on the reply
+                return
+            if then == "close":
+                return
+
+
+def _body(prompt: str) -> bytes:
+    return json.dumps({"choices": [{"message": {"content": prompt}}]}).encode()
+
+
+def _reply(prompt: str, status=b"HTTP/1.1 200 OK", *fields: bytes) -> bytes:
+    body = _body(prompt)
+    head = [status, *fields, b"Content-Length: " + str(len(body)).encode()]
+    return b"\r\n".join(head) + b"\r\n\r\n" + body
+
+
+def _chunked(prompt: str) -> bytes:
+    body = _body(prompt)
+    return (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"%x;name=value\r\n%s\r\n" % (5, body[:5])
+            + b"%x\r\n%s\r\n" % (len(body) - 5, body[5:])
+            + b"0\r\nX-Trailer: t\r\n\r\n")
+
+
+@pytest.mark.parametrize("reply, connections", [
+    (lambda n, p: (_chunked(p), "keep"), 1),
+    (lambda n, p: (b"HTTP/1.1 200 OK\r\n\r\n" + _body(p), "close"), 4),
+    (lambda n, p: (_reply(p, b"HTTP/1.0 200 OK", b"Connection: keep-alive"), "keep"), 1),
+    (lambda n, p: (_reply(p, b"HTTP/1.0 200 OK"), "keep"), 4),
+    (lambda n, p: (_reply(p, b"HTTP/1.1 200 OK", *[b"Connection: close"] * (n >= 1)), "keep"), 3),
+    (lambda n, p: (b"HTTP/1.1 100 Continue\r\n\r\n" + _reply(p), "keep"), 1),
+], ids=["chunked-extension-trailer", "close-delimited", "http10-keep-alive", "http10",
+        "connection-close-mid-batch", "100-continue"])
+def test_a_batch_reads_each_reply_framing_and_keeps_a_connection_only_while_it_may(
+        tmp_path, reply, connections):
+    prompts = [f"frame-{i}" for i in range(4)]
+    with RawEndpoint(reply) as raw:
+        cfg = make_cfg(raw, max_retries=0)
+        assert inference.run_prompts(prompts, cfg, 1, tmp_path / "s") == prompts
+        assert len(raw.heads) == len(prompts)  # one attempt per item
+        assert raw.connections == connections
+
+
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.1 200 OK\r\nContent-Length: 16777217\r\n\r\n0123456789",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1000001\r\n0123456789",
+    b"HTTP/1.1 204 No Content\r\n\r\n",
+], ids=["content-length-over-cap", "chunk-over-cap", "no-content"])
+def test_a_reply_over_the_cap_or_without_a_body_fails_without_waiting(reply):
+    # The server holds the connection open; the call must not wait for it.
+    with RawEndpoint(lambda n, p: (reply, "keep")) as raw:
+        started = time.monotonic()
+        with pytest.raises(MalformedResponse):
+            chat_complete(make_cfg(raw, timeout=5.0, max_retries=0), "p")
+        assert time.monotonic() - started < 2.0
+        assert len(raw.heads) == 1
+
+
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"choices\"",
+    b"garbage\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536 + b"\r\nContent-Length: 0\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 101 + b"Content-Length: 0\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
+], ids=["truncated-body", "garbage-status-line", "header-line-over-65536", "101-headers",
+        "bad-chunk-size"])
+def test_a_broken_reply_is_retried_without_a_free_resend_then_exhausts(reply):
+    with RawEndpoint(lambda n, p: (reply, "close")) as raw:
+        with pytest.raises(ExhaustedRetries) as err:
+            chat_complete(make_cfg(raw, max_retries=2), "p")
+        assert len(raw.heads) == 3
+    cause = err.value.__cause__
+    assert isinstance(cause, OSError) and not isinstance(cause, ConnectionError)
+
+
+def test_a_base_url_path_reaches_the_server_verbatim():
+    with RawEndpoint(lambda n, p: (_reply(p), "keep")) as raw:
+        assert chat_complete(make_cfg(raw, base_url=raw.base_url + "/a%2Fb%25s/"), "p") == "p"
+    request_line, *fields = raw.heads[0].decode().split("\r\n")
+    assert request_line == "POST /a%2Fb%25s/v1/chat/completions HTTP/1.1"
+    assert fields[0] == "Host: " + raw.base_url.removeprefix("http://")
+    assert "Accept-Encoding: identity" in fields
+
+
+def test_an_ipv6_literal_base_url_sends_its_bracketed_host():
+    try:
+        raw = RawEndpoint(lambda n, p: (_reply(p), "keep"), socket.AF_INET6)
+    except OSError as exc:
+        pytest.skip(f"cannot bind ::1: {exc}")
+    with raw:
+        assert chat_complete(make_cfg(raw), "p") == "p"
+    port = raw.server_address[1]
+    assert f"\r\nHost: [::1]:{port}\r\n".encode() in b"\r\n" + raw.heads[0]
+
+
+def test_an_api_key_that_would_break_the_request_head_is_refused():
+    with pytest.raises(ValueError, match="printable ASCII"):
+        EndpointConfig(base_url="http://127.0.0.1:1", model_name="m", api_key="k\r\nX-Injected: 1")
+
+
+def _certificates(directory: Path, hostname: str) -> tuple[Path, Path, Path]:
+    """A new CA's certificate, and a certificate for ``hostname`` it signed and its key."""
+    x509 = pytest.importorskip("cryptography.x509")
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+    from cryptography.x509.oid import NameOID
+
+    def name(common):
+        return x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, common)])
+
+    now = datetime.datetime.now(datetime.timezone.utc)
+    ca_key, key = ec.generate_private_key(ec.SECP256R1()), ec.generate_private_key(ec.SECP256R1())
+
+    def certificate(subject, public_key, *extensions):
+        builder = (x509.CertificateBuilder().subject_name(subject).issuer_name(name("test CA"))
+                   .public_key(public_key).serial_number(x509.random_serial_number())
+                   .not_valid_before(now - datetime.timedelta(hours=1))
+                   .not_valid_after(now + datetime.timedelta(hours=1))
+                   .add_extension(x509.AuthorityKeyIdentifier.from_issuer_public_key(
+                       ca_key.public_key()), critical=False)
+                   .add_extension(x509.SubjectKeyIdentifier.from_public_key(public_key),
+                                  critical=False))
+        for extension, critical in extensions:
+            builder = builder.add_extension(extension, critical=critical)
+        return builder.sign(ca_key, hashes.SHA256())
+
+    signs = x509.KeyUsage(digital_signature=False, content_commitment=False,
+                          key_encipherment=False, data_encipherment=False, key_agreement=False,
+                          key_cert_sign=True, crl_sign=True, encipher_only=False,
+                          decipher_only=False)
+    ca = certificate(name("test CA"), ca_key.public_key(),
+                     (x509.BasicConstraints(ca=True, path_length=None), True), (signs, True))
+    leaf = certificate(name(hostname), key.public_key(),
+                       (x509.SubjectAlternativeName([x509.DNSName(hostname)]), False))
+    paths = directory / "ca.pem", directory / "cert.pem", directory / "key.pem"
+    paths[0].write_bytes(ca.public_bytes(serialization.Encoding.PEM))
+    paths[1].write_bytes(leaf.public_bytes(serialization.Encoding.PEM))
+    paths[2].write_bytes(key.private_bytes(serialization.Encoding.PEM,
+                                           serialization.PrivateFormat.PKCS8,
+                                           serialization.NoEncryption()))
+    return paths
+
+
+def _serve_tls(stub: StubEndpoint, cert: Path, key: Path) -> str:
+    """Serve ``stub`` over TLS and return its https base URL on localhost."""
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    stub._server.socket = context.wrap_socket(stub._server.socket, server_side=True)
+    return f"https://localhost:{stub._server.server_address[1]}"
+
+
+class TunnelProxy(_Server):
+    """An HTTP proxy that answers CONNECT and relays bytes both ways; it keeps
+    each CONNECT target."""
+
+    def __init__(self):
+        self.targets = []
+        super().__init__(("127.0.0.1", 0), _TunnelHandler)
+
+
+def _relay(source: socket.socket, sink: socket.socket) -> None:
+    try:
+        while data := source.recv(65536):
+            sink.sendall(data)
+        sink.shutdown(socket.SHUT_WR)
+    except OSError:
+        pass
+
+
+class _TunnelHandler(socketserver.BaseRequestHandler):
+    def handle(self):
+        head = b""
+        while not head.endswith(b"\r\n\r\n"):  # byte by byte: TLS follows the head
+            if not (byte := self.request.recv(1)):
+                return
+            head += byte
+        target = head.split()[1].decode()
+        self.server.targets.append(target)
+        host, _, port = target.rpartition(":")
+        with socket.create_connection((host, int(port))) as upstream:
+            self.request.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+            back = threading.Thread(target=_relay, args=(upstream, self.request), daemon=True)
+            back.start()
+            _relay(self.request, upstream)
+            back.join(timeout=5)
+
+
+@pytest.fixture
+def tls_files(tmp_path, monkeypatch):
+    """Certificates under a CA that the client trusts through SSL_CERT_FILE."""
+    _clear_proxy_env(monkeypatch)
+    good = tmp_path / "good"
+    other = tmp_path / "other"
+    good.mkdir()
+    other.mkdir()
+    ca, cert, key = _certificates(good, "localhost")
+    other_ca, other_cert, other_key = _certificates(other, "elsewhere.test")
+    (tmp_path / "trusted.pem").write_bytes(ca.read_bytes() + other_ca.read_bytes())
+    monkeypatch.setenv("SSL_CERT_FILE", str(tmp_path / "trusted.pem"))
+    monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+    return {"localhost": (cert, key), "elsewhere.test": (other_cert, other_key)}
+
+
+def test_an_https_endpoint_is_reached_with_its_certificate_checked(tls_files):
+    with StubEndpoint() as stub:
+        base_url = _serve_tls(stub, *tls_files["localhost"])
+        assert chat_complete(make_cfg(stub, base_url=base_url, max_retries=0), "over tls") == (
+            "over tls")
+    assert stub.requests == ["over tls"]
+
+
+def test_an_https_endpoint_is_reached_through_a_connect_tunnel(tls_files, monkeypatch):
+    with StubEndpoint() as stub, TunnelProxy() as proxy:
+        base_url = _serve_tls(stub, *tls_files["localhost"])
+        monkeypatch.setenv("HTTPS_PROXY", f"http://127.0.0.1:{proxy.server_address[1]}")
+        cfg = make_cfg(stub, base_url=base_url, max_retries=0)
+        assert chat_complete(cfg, "tunnelled") == "tunnelled"
+    assert proxy.targets == [base_url[len("https://"):]]
+    assert stub.requests == ["tunnelled"]
+
+
+def test_a_certificate_for_another_host_fails_the_call(tls_files):
+    with StubEndpoint() as stub:
+        base_url = _serve_tls(stub, *tls_files["elsewhere.test"])
+        with pytest.raises(ExhaustedRetries) as err:
+            chat_complete(make_cfg(stub, base_url=base_url, max_retries=0), "p")
+    assert isinstance(err.value.__cause__, ssl.SSLCertVerificationError)
+    assert stub.requests == []

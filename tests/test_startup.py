@@ -18,6 +18,8 @@ import pytest
 import mtpipe
 from mtpipe import cli
 
+from stubserver import StubEndpoint
+
 ROOT = Path(__file__).resolve().parents[1]
 HEAVY = ("numpy", "http.client", "ssl", "urllib.request")
 # Standard modules only some paths load: hashing in a run that keeps job
@@ -37,10 +39,10 @@ TRACED = _load_spans().TRACED
 TRACED_MODULES = tuple(sorted({module for module, _ in TRACED}))
 
 
-def _child(code: str, *args: str) -> list:
+def _child(code: str, *args: str, env: dict | None = None) -> list:
     proc = subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        env={**(os.environ if env is None else env), "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -126,6 +128,49 @@ def test_quantize_and_merge_hash_nothing(tmp_path):
     codes, hashed = _child(_CHECKPOINT_CHILD, str(tmp_path))
     assert codes == [0, 0]
     assert not hashed
+
+
+_ENDPOINT_CHILD = """
+import json, sys
+from pathlib import Path
+from mtpipe.cli import main
+
+work, net = Path(sys.argv[1]), ["--base-url", sys.argv[2], "--model", "m", "--concurrency", "2"]
+def write(name, rows):
+    (work / name).write_text("".join(json.dumps(r) + "\\n" for r in rows), encoding="utf-8")
+
+write("records.jsonl", [{"instruction": f"say {i}", "response": f"ok {i}"} for i in range(6)])
+write("pairs.jsonl", [{"en": f"e {i}", "ar": f"a {i}"} for i in range(6)])
+codes = [
+    main(["translate-corpus", "--in", str(work / "records.jsonl"),
+          "--out", str(work / "tuples.jsonl"), "--state", str(work / "t.state"), *net]),
+    main(["judge", "--in", str(work / "pairs.jsonl"), "--accepted", str(work / "accepted.jsonl"),
+          "--stats", str(work / "stats.json"), "--state", str(work / "j.state"), *net]),
+]
+print(json.dumps([codes, [m for m in ("http.client", "ssl", "email", "urllib.request")
+                          if m in sys.modules]]))
+"""
+
+
+def test_an_endpoint_job_over_http_loads_no_tls_mail_or_urllib_request(tmp_path):
+    # The proxy lookup loads urllib.request only when a proxy is set.
+    env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
+    outputs = []
+    def reply(prompt, nth):
+        return ("ok", "accept" if "bilingual judge" in prompt else f"reply {len(prompt)}")
+
+    with StubEndpoint(reply) as stub:
+        for proxy in (None, stub.base_url):
+            work = tmp_path / ("proxied" if proxy else "direct")
+            work.mkdir()
+            codes, loaded = _child(_ENDPOINT_CHILD, str(work), stub.base_url,
+                                   env={**env, "HTTP_PROXY": proxy} if proxy else env)
+            assert codes == [0, 0]
+            assert ("urllib.request" in loaded) if proxy else loaded == []
+            outputs.append([(work / name).read_bytes()
+                            for name in ("tuples.jsonl", "accepted.jsonl", "stats.json")])
+        assert len(stub.requests) == 2 * (6 * 2 + 6)
+    assert outputs[0] == outputs[1]
 
 
 _SAMPLING_CHILD = """
