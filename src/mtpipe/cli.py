@@ -1,17 +1,18 @@
 """Single entry point exposing every operation as a subcommand.
 
-Exit codes: 0 on success, 1 on operational errors, 2 on usage errors. Logs go
-to standard error; data goes to files or standard output only. The API key is
-read from the MTPIPE_API_KEY (or OPENAI_API_KEY) environment variable, never
-from a flag. A flat KEY=VALUE ``--config`` file supplies endpoint defaults;
-flags override the file.
+Exit codes: 0 on success, 1 on operational errors, 2 on usage errors. Status
+and error lines go to standard error as ``LEVEL mtpipe: message``; the CLI
+writes them itself and sets up no logging, and a closed or full stderr changes
+no exit code. Data goes to files or standard output only. ``-v`` is accepted
+and has no effect. The API key is read from the MTPIPE_API_KEY (or
+OPENAI_API_KEY) environment variable, never from a flag. A flat KEY=VALUE
+``--config`` file supplies endpoint defaults; flags override the file.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -20,8 +21,6 @@ from typing import Callable
 from . import evalset, inference, merge, metrics, pipeline, quant, state, tensorio
 from .errors import ToolError
 from .state import JobState, atomic_write, run_fingerprint
-
-log = logging.getLogger("mtpipe")
 
 # --config keys and the type of each value. Each key is also a flag of the
 # endpoint commands (``--max-tokens`` for max_tokens), generated from this table.
@@ -41,6 +40,16 @@ _DEFAULT_CONCURRENCY = 4
 class UsageError(Exception):
     """A flag or config value the program rejects; exits 2 like argparse's own
     errors."""
+
+
+def _log(level: str, message: str) -> None:
+    """Write ``LEVEL mtpipe: message`` as one line to standard error. Like a
+    logging handler, a closed or full stderr loses the line, not the exit code."""
+    try:
+        sys.stderr.write(f"{level} mtpipe: {message}\n")
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # None, unwritable, or closed
+        pass
 
 
 def _load_config(path: str | None) -> dict:
@@ -100,7 +109,7 @@ def _run_once(
     fingerprint_parts = parts()
     with JobState(state_path, run_fingerprint(fingerprint_parts)) as job:
         if 0 in job.completed and all(Path(out).exists() for out in outs if out):
-            log.info("%s already complete; nothing to do", fingerprint_parts[0])
+            _log("INFO", f"{fingerprint_parts[0]} already complete; nothing to do")
             return
         work()
         job.record(0, str(outs[0]))
@@ -126,7 +135,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
                 f"max_rel_err={audit.max_rel_err:.3e}"
             )
     done = sum(not audit.skipped for audit in audits.values())
-    log.info("quantized %d of %d tensors -> %s", done, len(audits), args.out)
+    _log("INFO", f"quantized {done} of {len(audits)} tensors -> {args.out}")
     return 0
 
 
@@ -142,7 +151,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
     with tensorio.open_checkpoint(args.a) as a, tensorio.open_checkpoint(args.b) as b:
         merged = merge.merge_stream(a, b, spec)
         tensorio.write_checkpoint(merged, args.out)
-    log.info("merged %d tensors at t=%s -> %s", len(merged.tensors), args.t, args.out)
+    _log("INFO", f"merged {len(merged.tensors)} tensors at t={args.t} -> {args.out}")
     return 0
 
 
@@ -198,7 +207,7 @@ def cmd_translate_corpus(args: argparse.Namespace) -> int:
     outputs = inference.run_prompts(prompts, cfg, concurrency, args.state)
 
     pipeline.write_bilingual_tuples(args.out, records, outputs[0::2], outputs[1::2])
-    log.info("translated %d records -> %s", len(records), args.out)
+    _log("INFO", f"translated {len(records)} records -> {args.out}")
     return 0
 
 
@@ -228,7 +237,7 @@ def cmd_pair(args: argparse.Namespace) -> int:
             args.out, records, list(pipeline.read_lines(args.instr_ar)),
             list(pipeline.read_lines(args.resp_ar)),
         )
-        log.info("paired %d records -> %s", n, args.out)
+        _log("INFO", f"paired {n} records -> {args.out}")
 
     _run_once(args.state, [args.out], work, lambda: [
         "pair", state._file_digest(args.records), state._file_digest(args.instr_ar),
@@ -318,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Checkpoint quantization/merging, corpus construction and MT scoring.",
     )
     parser.add_argument("--config", help="flat KEY=VALUE defaults file")
-    parser.add_argument("-v", "--verbose", action="store_true")
+    parser.add_argument("-v", "--verbose", action="store_true", help="accepted; has no effect")
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("quantize", help="8-bit quantize a checkpoint")
@@ -410,18 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
         return args.func(args)
     except UsageError as exc:
-        log.error("%s", exc)
+        _log("ERROR", str(exc))
         return 2
     except (ToolError, OSError) as exc:
-        log.error("%s", exc)
+        _log("ERROR", str(exc))
         return 1
 
 

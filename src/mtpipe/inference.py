@@ -6,9 +6,10 @@ errors, 429, 5xx) are retried with exponential backoff plus jitter; other
 statuses, redirects included, fail at once; a batch that stops (a failure or
 Ctrl-C) cuts its running backoffs short. A batch runs on worker
 threads of its own, one per request in flight, each keeping one keep-alive
-connection until the batch ends; a call outside a batch opens and closes its
-own. A batch returns outputs in item order and journals every completion
-through a JobState before reporting it, so a resumed run skips finished items.
+connection until the batch ends, and over https its connections share one TLS
+context; a call outside a batch opens and closes its own. A batch returns
+outputs in item order and journals every completion through a JobState before
+reporting it, so a resumed run skips finished items.
 ``run_prompts`` is the one place that binds an endpoint job's state to its prompts.
 """
 
@@ -162,11 +163,8 @@ class _Connection:
             if (status := self._head()[0]) != 200:
                 raise OSError(f"proxy tunnel failed: HTTP {status}")
         if self.tls:
-            import ssl
-
-            if self.context is None:  # one per connection object: it reads the trust store
-                self.context = ssl.create_default_context()
-                self.context.set_alpn_protocols(["http/1.1"])
+            if self.context is None:  # run_batch gives its connections one
+                self.context = _tls_context()
             self.sock = self.context.wrap_socket(self.sock, server_hostname=self.tls)
         self.reader = self.sock.makefile("rb")
 
@@ -241,6 +239,15 @@ class _Connection:
         if len(data) < size:
             raise OSError(f"reply body ended after {len(data)} of {size} bytes")
         return data
+
+
+def _tls_context():
+    """A verifying client context; making one reads the trust store (tens of ms)."""
+    import ssl
+
+    context = ssl.create_default_context()
+    context.set_alpn_protocols(["http/1.1"])
+    return context
 
 
 def chat_complete(cfg: EndpointConfig, prompt: str) -> str:
@@ -341,8 +348,13 @@ def run_batch(
             outbox.put((item.index, outcome))
         conn.close()
 
-    # Opened here, so that a failure to set one up raises before any worker starts.
+    # Opened here, so that a failure to set one up raises before any worker starts,
+    # and over https all share one TLS context.
     connections = [_Connection(cfg) for _ in range(concurrency)]
+    if connections[0].tls and len(state.completed) < len(items):  # something to send
+        context = _tls_context()
+        for connection in connections:
+            connection.context = context
     workers = [threading.Thread(target=work, args=(connection,)) for connection in connections]
     for worker in workers:
         worker.start()

@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import logging
 import os
 import signal
 import subprocess
@@ -26,6 +25,15 @@ from stubserver import StubEndpoint
 
 def run_cli(args: list[str]) -> int:
     return cli.main(args)
+
+
+def logged(capsys, level: str = "ERROR") -> list[str]:
+    """The messages on stderr since the last read; every line must be
+    ``LEVEL mtpipe: message``, as the CLI writes it."""
+    prefix = f"{level} mtpipe: "
+    *lines, rest = capsys.readouterr().err.split("\n")
+    assert rest == "" and all(line.startswith(prefix) for line in lines), [*lines, rest]
+    return [line[len(prefix):] for line in lines]
 
 
 def test_help_exits_zero(capsys):
@@ -92,13 +100,12 @@ def test_quantize_command(tmp_path, rng, capsys):
     assert "w.scale" in quantized.tensors
 
 
-def test_quantize_logs_how_many_tensors_it_quantized(tmp_path, rng, caplog):
-    caplog.set_level(logging.INFO)
+def test_quantize_logs_how_many_tensors_it_quantized(tmp_path, rng, capsys):
     src = tmp_path / "model.safetensors"
     _write_checkpoint(src, rng, names=("w", "v", "u"))
     out = tmp_path / "model-fp8.safetensors"
     assert run_cli(["quantize", "--in", str(src), "--out", str(out), "--skip", "v"]) == 0
-    assert [r.getMessage() for r in caplog.records] == [f"quantized 2 of 3 tensors -> {out}"]
+    assert logged(capsys, "INFO") == [f"quantized 2 of 3 tensors -> {out}"]
 
 
 def test_quantize_failure_in_a_late_tensor_leaves_no_output(tmp_path, rng):
@@ -113,7 +120,7 @@ def test_quantize_failure_in_a_late_tensor_leaves_no_output(tmp_path, rng):
     assert [p.name for p in tmp_path.iterdir()] == ["model.safetensors"]
 
 
-def test_quantize_names_the_tensor_that_is_not_finite(tmp_path, rng, caplog):
+def test_quantize_names_the_tensor_that_is_not_finite(tmp_path, rng, capsys):
     src = tmp_path / "model.safetensors"
     bad = rng.normal(size=16)
     bad[5] = np.nan
@@ -124,13 +131,14 @@ def test_quantize_names_the_tensor_that_is_not_finite(tmp_path, rng, caplog):
     tio.write_checkpoint(Checkpoint(tensors=tensors), src)
     out = tmp_path / "model-fp8.safetensors"
     assert run_cli(["quantize", "--in", str(src), "--out", str(out)]) == 1
-    assert "'layer.7.w': scale computation requires finite values" in caplog.text
+    [message] = logged(capsys)
+    assert "'layer.7.w': scale computation requires finite values" in message
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.safetensors"]
 
 
 @pytest.mark.parametrize("dtype", [DType.F32, DType.BF16], ids=lambda d: d.value)
 def test_merge_that_overflows_its_output_dtype_names_the_tensor_and_writes_nothing(
-        tmp_path, rng, caplog, dtype):
+        tmp_path, rng, capsys, dtype):
     # Near-orthogonal vectors: at t=0.5 the first element is 0.707 * 6e38.
     a, b = tmp_path / "a.safetensors", tmp_path / "b.safetensors"
     tio.write_checkpoint(Checkpoint(tensors={
@@ -141,13 +149,14 @@ def test_merge_that_overflows_its_output_dtype_names_the_tensor_and_writes_nothi
         "w": tensor_from_f64(np.array([3e38, -3e38, 2.0]), dtype, (3,))}), b)
     out = tmp_path / "merged.safetensors"
     assert run_cli(["merge", "--a", str(a), "--b", str(b), "--out", str(out), "--t", "0.5"]) == 1
-    assert "'w': 4.2" in caplog.text and f"is finite but overflows {dtype.value}" in caplog.text
+    [message] = logged(capsys)
+    assert "'w': 4.2" in message and f"is finite but overflows {dtype.value}" in message
     assert sorted(p.name for p in tmp_path.iterdir()) == [a.name, b.name]
 
 
 @pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -2.0])
 def test_a_scale_that_is_not_finite_and_positive_names_its_companion_and_writes_nothing(
-        tmp_path, caplog, scale):
+        tmp_path, capsys, scale):
     codes = tio.Tensor(DType.F8_E4M3, (4,), bytes([0x38, 0x40, 0x30, 0x38]))
     quantized = Checkpoint(tensors={
         "w": codes, "w.scale": tio.Tensor(DType.F32, (), np.float32(scale).tobytes())})
@@ -158,10 +167,10 @@ def test_a_scale_that_is_not_finite_and_positive_names_its_companion_and_writes_
     tio.write_checkpoint(Checkpoint(tensors={"v": original.tensors["w"]}), c)
     out = tmp_path / "merged.safetensors"
     for other, missing in ((b, "error"), (c, "copy")):
-        caplog.clear()
         assert run_cli(["merge", "--a", str(a), "--b", str(other), "--on-missing", missing,
                         "--out", str(out)]) == 1
-        assert "'w.scale' holds" in caplog.text
+        [message] = logged(capsys)
+        assert "'w.scale' holds" in message
     assert sorted(p.name for p in tmp_path.iterdir()) == [a.name, b.name, c.name]
     with pytest.raises(quant.BadScale, match="'w.scale' holds"):
         quant.validate_quantization(original, quantized, quant.QuantPolicy())
@@ -299,6 +308,26 @@ def test_tokenize_stdin_is_strict_utf8_whatever_the_locale(tmp_path, io_encoding
     assert b"Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args, code, stderr", [
+    (["quantize", "--in", "a.safetensors", "--out", "q.safetensors"], 0,
+     b"INFO mtpipe: quantized 2 of 2 tensors -> q.safetensors\n"),
+    (["mix", "--source", "bad", "--out", "m.jsonl"], 2,
+     b"ERROR mtpipe: --source must be NAME=PATH=COUNT, got 'bad'\n"),
+    (["quantize", "--in", "missing", "--out", "q.safetensors"], 1,
+     b"ERROR mtpipe: cannot read missing: [Errno 2] No such file or directory: 'missing'\n")],
+    ids=["quantize", "usage-error", "missing-input"])
+def test_a_closed_or_full_stderr_changes_no_exit_code_or_stdout(tmp_path, rng, args, code, stderr):
+    _write_checkpoint(tmp_path / "a.safetensors", rng)
+    command = [sys.executable, "-m", "mtpipe.cli", *args]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    piped = subprocess.run(command, capture_output=True, cwd=tmp_path, env=env)
+    assert (piped.returncode, piped.stderr) == (code, stderr)
+    for redirect in ("2>&-", "2>/dev/full"):  # stderr closed, then stderr full
+        proc = subprocess.run(["sh", "-c", f'"$@" {redirect}', "sh", *command],
+                              stdout=subprocess.PIPE, cwd=tmp_path, env=env)
+        assert (proc.returncode, proc.stdout) == (code, piped.stdout), redirect
+
+
 def test_filter_code_command(tmp_path, capsys):
     src = tmp_path / "records.jsonl"
     pipeline.write_records(
@@ -380,14 +409,14 @@ def test_mix_count_mismatch_exit_one(tmp_path):
     assert run_cli(["mix", "--source", f"alpha={a}=5", "--out", str(tmp_path / "o")]) == 1
 
 
-def test_mix_source_name_that_is_not_utf8_exits_two_and_keeps_the_output(tmp_path, caplog):
+def test_mix_source_name_that_is_not_utf8_exits_two_and_keeps_the_output(tmp_path, capsys):
     # Python decodes the argv byte 0xff to the lone surrogate U+DCFF.
     a = tmp_path / "a.jsonl"
     pipeline.write_records(a, [{"en": "x"}])
     out = tmp_path / "o.jsonl"
     out.write_text("old\n", encoding="utf-8")
     assert run_cli(["mix", "--source", f"\udcff={a}=1", "--out", str(out)]) == 2
-    assert [r.getMessage() for r in caplog.records] == ["--source name '\\udcff' is not UTF-8"]
+    assert logged(capsys) == ["--source name '\\udcff' is not UTF-8"]
     assert out.read_text(encoding="utf-8") == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "o.jsonl"]
 
@@ -459,7 +488,7 @@ def test_translate_corpus_command(tmp_path, capsys):
     assert all(r["source"] == "unit" for r in rows)
 
 
-def test_translate_corpus_empty_response_names_its_record(tmp_path, caplog):
+def test_translate_corpus_empty_response_names_its_record(tmp_path, capsys):
     records = tmp_path / "records.jsonl"
     pipeline.write_records(records, [{"id": "r0", "instruction": "ask", "response": "ans"},
                                      {"id": "r1", "instruction": "ask", "response": ""}])
@@ -467,11 +496,12 @@ def test_translate_corpus_empty_response_names_its_record(tmp_path, caplog):
     code = run_cli(["translate-corpus", "--in", str(records), "--out", str(tmp_path / "t.jsonl"),
                     "--state", str(state), "--base-url", "http://127.0.0.1:1", "--model", "m"])
     assert code == 1
-    assert "record 'r1': cannot render a prompt for empty text" in caplog.text
+    [message] = logged(capsys)
+    assert "record 'r1': cannot render a prompt for empty text" in message
     assert not state.exists()
 
 
-def test_malformed_proxy_variable_is_one_line_error(tmp_path, monkeypatch, caplog):
+def test_malformed_proxy_variable_is_one_line_error(tmp_path, monkeypatch, capsys):
     for name in ("http_proxy", "NO_PROXY", "no_proxy"):
         monkeypatch.delenv(name, raising=False)
     monkeypatch.setenv("HTTP_PROXY", "http://proxy:port")
@@ -483,8 +513,8 @@ def test_malformed_proxy_variable_is_one_line_error(tmp_path, monkeypatch, caplo
         "--state", str(tmp_path / "tr.state"), "--base-url", "http://127.0.0.1:9", "--model", "m",
     ])
     assert code == 1
-    [record] = caplog.records
-    assert "http proxy setting 'http://proxy:port'" in record.getMessage()
+    [message] = logged(capsys)
+    assert "http proxy setting 'http://proxy:port'" in message
     assert not out.exists()
 
 
@@ -693,13 +723,14 @@ def test_local_step_rerun_with_state_is_a_no_op(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["filter-code", "mix"])
-def test_local_step_state_of_another_run_exits_one(tmp_path, caplog, command):
+def test_local_step_state_of_another_run_exits_one(tmp_path, capsys, command):
     state = tmp_path / "step.state"
     args = _local_step_args(tmp_path, command) + ["--state", str(state)]
     assert run_cli(args) == 0
     other = ["--min-code-lines", "5"] if command == "filter-code" else ["--shuffle"]
     assert run_cli(args + other) == 1
-    assert "created for a different run" in caplog.text
+    [message] = logged(capsys)
+    assert "created for a different run" in message
 
 
 def test_local_step_upgrades_an_old_done_marker(tmp_path, capsys):
@@ -760,7 +791,7 @@ def test_config_with_only_endpoint_address_keeps_config_defaults(tmp_path, monke
     assert concurrency == 4
 
 
-def test_config_value_of_the_wrong_type_exits_two(tmp_path, caplog):
+def test_config_value_of_the_wrong_type_exits_two(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("base_url=http://127.0.0.1:1\nmodel=m\ntimeout=soon\n", encoding="utf-8")
     pairs_path = tmp_path / "pairs.jsonl"
@@ -770,7 +801,8 @@ def test_config_value_of_the_wrong_type_exits_two(tmp_path, caplog):
          "--accepted", str(tmp_path / "a"), "--state", str(tmp_path / "s")]
     )
     assert code == 2
-    assert f"{config} line 3: timeout" in caplog.text
+    [message] = logged(capsys)
+    assert f"{config} line 3: timeout" in message
 
 
 @pytest.mark.parametrize(
@@ -786,7 +818,7 @@ def test_config_value_of_the_wrong_type_exits_two(tmp_path, caplog):
          "timeout-inf", "timeout-past-max", "backoff-base-inf", "max-tokens-zero",
          "max-tokens-negative", "base-url-space", "base-url-non-ascii"],
 )
-def test_invalid_endpoint_flag_exits_two(tmp_path, caplog, flags):
+def test_invalid_endpoint_flag_exits_two(tmp_path, capsys, flags):
     pairs_path = tmp_path / "pairs.jsonl"
     pipeline.write_records(pairs_path, [{"ar": "أ", "en": "a"}])
     code = run_cli(
@@ -795,14 +827,15 @@ def test_invalid_endpoint_flag_exits_two(tmp_path, caplog, flags):
          "--model", "m", *flags]
     )
     assert code == 2
-    assert flags[0].lstrip("-").replace("-", "_") in caplog.text
-    assert "Traceback" not in caplog.text
+    [message] = logged(capsys)
+    assert flags[0].lstrip("-").replace("-", "_") in message
+    assert "Traceback" not in message
     assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("command, out", [("translate-corpus", "--out"), ("judge", "--accepted")],
                          ids=["translate-corpus", "judge"])
-def test_a_bad_endpoint_flag_is_a_usage_error_before_the_input_is_read(tmp_path, caplog,
+def test_a_bad_endpoint_flag_is_a_usage_error_before_the_input_is_read(tmp_path, capsys,
                                                                         command, out):
     code = run_cli(
         [command, "--in", str(tmp_path / "missing.jsonl"), out, str(tmp_path / "o"),
@@ -810,18 +843,20 @@ def test_a_bad_endpoint_flag_is_a_usage_error_before_the_input_is_read(tmp_path,
          "--timeout", "0"]
     )
     assert code == 2
-    assert "timeout" in caplog.text
-    assert "No such file" not in caplog.text
+    [message] = logged(capsys)
+    assert "timeout" in message
+    assert "No such file" not in message
     assert not (tmp_path / "s").exists() and not (tmp_path / "o").exists()
 
 
-def test_merge_invalid_eps_exits_two(tmp_path, rng, caplog):
+def test_merge_invalid_eps_exits_two(tmp_path, rng, capsys):
     a = tmp_path / "a.safetensors"
     _write_checkpoint(a, rng)
     out = tmp_path / "o"
     code = run_cli(["merge", "--a", str(a), "--b", str(a), "--eps", "0", "--out", str(out)])
     assert code == 2
-    assert "parallel_eps must be positive" in caplog.text
+    [message] = logged(capsys)
+    assert "parallel_eps must be positive" in message
     assert not out.exists()
 
 
@@ -832,10 +867,10 @@ def test_merge_invalid_eps_exits_two(tmp_path, rng, caplog):
      (["mix", "--source", "nonsense"], "--source must be NAME=PATH=COUNT, got 'nonsense'")],
     ids=["merge-t-above-one", "merge-t-nan", "mix-source"],
 )
-def test_rejected_flag_exits_two_and_writes_nothing(tmp_path, monkeypatch, caplog, args, message):
+def test_rejected_flag_exits_two_and_writes_nothing(tmp_path, monkeypatch, capsys, args, message):
     monkeypatch.chdir(tmp_path)
     assert run_cli([*args, "--out", "o"]) == 2
-    assert [r.getMessage() for r in caplog.records] == [message]
+    assert logged(capsys) == [message]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -849,15 +884,16 @@ def _eval_inputs(tmp_path: Path, drop: str | None = None) -> tuple[Path, Path]:
     return en, ar
 
 
-def test_sample_eval_missing_field_is_malformed_line(tmp_path, caplog):
+def test_sample_eval_missing_field_is_malformed_line(tmp_path, capsys):
     en, ar = _eval_inputs(tmp_path, drop="en")
     code = run_cli(["sample-eval", "--en", str(en), "--ar", str(ar), "--n", "2",
                     "--seed", "1", "--out", str(tmp_path / "ev")])
     assert code == 1
-    assert f"{en} line 3: missing field 'text'" in caplog.text
+    [message] = logged(capsys)
+    assert f"{en} line 3: missing field 'text'" in message
 
 
-def test_report_missing_field_is_malformed_line(tmp_path, caplog):
+def test_report_missing_field_is_malformed_line(tmp_path, capsys):
     pairs = tmp_path / "pairs.jsonl"
     pipeline.write_records(
         pairs, [{"subject": "s", "item_id": "0", "reference": "r"}]
@@ -867,7 +903,8 @@ def test_report_missing_field_is_malformed_line(tmp_path, caplog):
     code = run_cli(["report", "--pairs", str(pairs), "--outputs", str(outputs),
                     "--name", "x"])
     assert code == 1
-    assert f"{pairs} line 1: missing field 'text'" in caplog.text
+    [message] = logged(capsys)
+    assert f"{pairs} line 1: missing field 'text'" in message
 
 
 def test_sample_eval_negative_n_exits_one(tmp_path, capsys):
@@ -899,7 +936,7 @@ def test_segments_split_only_at_newline(tmp_path, capsys):
     assert capsys.readouterr().out.strip().endswith("n=2")
 
 
-def test_report_non_utf8_pairs_is_malformed_line(tmp_path, caplog):
+def test_report_non_utf8_pairs_is_malformed_line(tmp_path, capsys):
     en, ar = _eval_inputs(tmp_path)
     out_dir = tmp_path / "ev"
     assert run_cli(["sample-eval", "--en", str(en), "--ar", str(ar), "--n", "2",
@@ -911,15 +948,16 @@ def test_report_non_utf8_pairs_is_malformed_line(tmp_path, caplog):
     outputs.write_text("a\nb\n", encoding="utf-8")
     code = run_cli(["report", "--pairs", str(pairs), "--outputs", str(outputs), "--name", "x"])
     assert code == 1
-    assert f"{pairs} line 2: not UTF-8" in caplog.text
-    assert "Traceback" not in caplog.text
+    [message] = logged(capsys)
+    assert f"{pairs} line 2: not UTF-8" in message
+    assert "Traceback" not in message
 
 
 @pytest.mark.parametrize("command", ["score --hyp", "tokenize --in", "tokenize stdin",
                                      "pair --instr-ar", "report --outputs", "--config",
                                      "filter-code --in"])
 def test_a_non_utf8_line_is_one_error_naming_its_file_and_line(
-    tmp_path, monkeypatch, caplog, command
+    tmp_path, monkeypatch, capsys, command
 ):
     # Every text and JSON-lines input is read by one rule, so each names line 2.
     bad, good, out = tmp_path / "bad.txt", tmp_path / "good.txt", tmp_path / "out"
@@ -955,40 +993,41 @@ def test_a_non_utf8_line_is_one_error_naming_its_file_and_line(
                         b'{"instruction": "\xff", "response": "b"}\n')
         argv = ["filter-code", "--in", str(bad), "--out", str(out)]
     files = sorted(tmp_path.rglob("*"))
-    caplog.clear()
+    capsys.readouterr()
     assert run_cli(argv) == 1
-    [record] = caplog.records
-    assert record.getMessage().startswith(f"{label} line 2: not UTF-8 at byte ")
-    assert "\n" not in record.getMessage()
+    [message] = logged(capsys)
+    assert message.startswith(f"{label} line 2: not UTF-8 at byte ")
+    assert "\n" not in message
     assert sorted(tmp_path.rglob("*")) == files
 
 
 @pytest.mark.parametrize("metric", ["all", "bleu", "chrf", "rouge"])
-def test_score_on_two_empty_files_is_one_error(tmp_path, caplog, capsys, metric):
+def test_score_on_two_empty_files_is_one_error(tmp_path, capsys, metric):
     hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
     hyp.write_bytes(b"")
     ref.write_bytes(b"")
     code = run_cli(["score", "--hyp", str(hyp), "--ref", str(ref), "--metric", metric,
                     "--report", str(tmp_path / "scores.json")])
     assert code == 1
-    [record] = caplog.records
-    assert "\n" not in record.getMessage()
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert err.startswith("ERROR mtpipe: ") and err.endswith("\n") and err.count("\n") == 1
+    assert out == ""
     assert not (tmp_path / "scores.json").exists()
 
 
-def test_filter_code_null_response_names_its_line(tmp_path, caplog):
+def test_filter_code_null_response_names_its_line(tmp_path, capsys):
     src = tmp_path / "records.jsonl"
     pipeline.write_records(
         src, [{"instruction": "a", "response": "b"}, {"instruction": "c", "response": None}]
     )
     code = run_cli(["filter-code", "--in", str(src), "--out", str(tmp_path / "kept.jsonl")])
     assert code == 1
-    assert f"{src} line 2: field 'response' is null, not a string" in caplog.text
+    [message] = logged(capsys)
+    assert f"{src} line 2: field 'response' is null, not a string" in message
 
 
 @pytest.mark.parametrize("command", ["filter-code", "mix", "translate-corpus"])
-def test_a_lone_surrogate_escape_names_its_line_and_keeps_the_output(tmp_path, caplog, command):
+def test_a_lone_surrogate_escape_names_its_line_and_keeps_the_output(tmp_path, capsys, command):
     src = tmp_path / "records.jsonl"
     src.write_text('{"instruction": "a", "response": "b"}\n'
                    '{"instruction": "c \\ud800", "response": "d"}\n', encoding="utf-8")
@@ -1004,14 +1043,14 @@ def test_a_lone_surrogate_escape_names_its_line_and_keeps_the_output(tmp_path, c
         }[command]
         assert run_cli(args) == 1
     label = "a" if command == "mix" else str(src)
-    assert [r.getMessage() for r in caplog.records] == [
+    assert logged(capsys) == [
         f"{label} line 2: not encodable as UTF-8: surrogates not allowed"
     ]
     assert stub.requests == []
     assert out.read_bytes() == b"old\n"
 
 
-def test_translate_corpus_reply_that_is_not_unicode_is_malformed(tmp_path, caplog):
+def test_translate_corpus_reply_that_is_not_unicode_is_malformed(tmp_path, capsys):
     records = tmp_path / "records.jsonl"
     pipeline.write_records(records, [{"id": "r0", "instruction": "ask", "response": "ans"}])
     state = tmp_path / "tr.state"
@@ -1026,14 +1065,15 @@ def test_translate_corpus_reply_that_is_not_unicode_is_malformed(tmp_path, caplo
     assert code == 1
     assert stub.calls_per_prompt == {"Translate from English to Arabic: ask": 1,
                                      "Translate from English to Arabic: ans": 1}
-    assert "content is not valid Unicode" in caplog.text
+    [message] = logged(capsys)
+    assert "content is not valid Unicode" in message
     fingerprint = json.loads(state.read_text())["fingerprint"]
     with JobState(state, fingerprint) as job:
         assert job.completed == {0: "fine"}
     assert not (tmp_path / "t").exists()
 
 
-def test_config_zero_concurrency_exits_two(tmp_path, caplog):
+def test_config_zero_concurrency_exits_two(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("base_url=http://127.0.0.1:1\nmodel=m\nconcurrency=0\n", encoding="utf-8")
     pairs_path = tmp_path / "pairs.jsonl"
@@ -1041,11 +1081,12 @@ def test_config_zero_concurrency_exits_two(tmp_path, caplog):
     code = run_cli(["--config", str(config), "judge", "--in", str(pairs_path),
                     "--accepted", str(tmp_path / "a"), "--state", str(tmp_path / "s")])
     assert code == 2
-    assert "concurrency must be at least 1" in caplog.text
+    [message] = logged(capsys)
+    assert "concurrency must be at least 1" in message
     assert not (tmp_path / "s").exists()
 
 
-def test_config_non_utf8_is_one_line_error(tmp_path, caplog):
+def test_config_non_utf8_is_one_line_error(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_bytes(b"base_url=http://127.0.0.1:1\nmodel=\xff\n")
     pairs_path = tmp_path / "pairs.jsonl"
@@ -1053,9 +1094,9 @@ def test_config_non_utf8_is_one_line_error(tmp_path, caplog):
     code = run_cli(["--config", str(config), "judge", "--in", str(pairs_path),
                     "--accepted", str(tmp_path / "a"), "--state", str(tmp_path / "s")])
     assert code == 1
-    [record] = caplog.records
-    assert record.getMessage().startswith(f"{config} line 2: not UTF-8 at byte 6")
-    assert "\n" not in record.getMessage()
+    [message] = logged(capsys)
+    assert message.startswith(f"{config} line 2: not UTF-8 at byte 6")
+    assert "\n" not in message
 
 
 def test_config_splits_only_at_newline(tmp_path):
@@ -1077,30 +1118,32 @@ def test_config_splits_only_at_newline(tmp_path):
      ({"ar": "a", "en": ["b"]}, "en", "list")],
     ids=["int", "null", "list"],
 )
-def test_judge_non_string_pair_field_names_its_line(tmp_path, caplog, record, field, kind):
+def test_judge_non_string_pair_field_names_its_line(tmp_path, capsys, record, field, kind):
     pairs_path = tmp_path / "pairs.jsonl"
     pipeline.write_records(pairs_path, [{"ar": "أ", "en": "a"}, record])
     code = run_cli(["judge", "--in", str(pairs_path), "--accepted", str(tmp_path / "a"),
                     "--state", str(tmp_path / "s"), "--base-url", "http://127.0.0.1:1",
                     "--model", "m"])
     assert code == 1
-    assert f"{pairs_path} line 2: field {field!r} is {kind}, not a string" in caplog.text
+    [message] = logged(capsys)
+    assert f"{pairs_path} line 2: field {field!r} is {kind}, not a string" in message
     assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("field", ["ar", "en"])
-def test_judge_empty_pair_side_names_its_line(tmp_path, caplog, field):
+def test_judge_empty_pair_side_names_its_line(tmp_path, capsys, field):
     pairs_path = tmp_path / "pairs.jsonl"
     pipeline.write_records(pairs_path, [{"ar": "أ", "en": "a"}, {"ar": "ب", "en": "b", field: ""}])
     code = run_cli(["judge", "--in", str(pairs_path), "--accepted", str(tmp_path / "a"),
                     "--state", str(tmp_path / "s"), "--base-url", "http://127.0.0.1:1",
                     "--model", "m"])
     assert code == 1
-    assert f"{pairs_path} line 2: field {field!r} is empty" in caplog.text
+    [message] = logged(capsys)
+    assert f"{pairs_path} line 2: field {field!r} is empty" in message
     assert not (tmp_path / "s").exists()
 
 
-def test_sample_eval_null_text_names_its_line(tmp_path, caplog):
+def test_sample_eval_null_text_names_its_line(tmp_path, capsys):
     en, ar = _eval_inputs(tmp_path)
     rows = list(pipeline.read_records(en))
     rows[3]["text"] = None
@@ -1109,18 +1152,20 @@ def test_sample_eval_null_text_names_its_line(tmp_path, caplog):
     code = run_cli(["sample-eval", "--en", str(en), "--ar", str(ar), "--n", "2",
                     "--seed", "1", "--out", str(out_dir)])
     assert code == 1
-    assert f"{en} line 4: field 'text' is null, not a string" in caplog.text
+    [message] = logged(capsys)
+    assert f"{en} line 4: field 'text' is null, not a string" in message
     assert not out_dir.exists()
 
 
-def test_report_numeric_reference_names_its_line(tmp_path, caplog):
+def test_report_numeric_reference_names_its_line(tmp_path, capsys):
     pairs = tmp_path / "pairs.jsonl"
     pipeline.write_records(pairs, [{"subject": "s", "item_id": 0, "text": "t", "reference": 7}])
     outputs = tmp_path / "outputs.txt"
     outputs.write_text("r\n", encoding="utf-8")
     code = run_cli(["report", "--pairs", str(pairs), "--outputs", str(outputs), "--name", "x"])
     assert code == 1
-    assert f"{pairs} line 1: field 'reference' is int, not a string" in caplog.text
+    [message] = logged(capsys)
+    assert f"{pairs} line 1: field 'reference' is int, not a string" in message
 
 
 def test_sample_eval_keeps_numeric_subject_and_item_id(tmp_path, capsys):

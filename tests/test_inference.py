@@ -893,6 +893,27 @@ def test_an_https_endpoint_is_reached_through_a_connect_tunnel(tls_files, monkey
     assert stub.requests == ["tunnelled"]
 
 
+def test_a_batch_over_https_makes_one_tls_context_for_all_its_connections(
+        tls_files, tmp_path, monkeypatch):
+    made, create = [], ssl.create_default_context
+    monkeypatch.setattr(ssl, "create_default_context",
+                        lambda *args, **kwargs: made.append(1) or create(*args, **kwargs))
+    together = threading.Barrier(4, timeout=10)  # all four workers connect
+
+    def behavior(prompt, nth):
+        together.wait()
+        return ("echo", None)
+
+    items = [BatchItem(i, f"tls-{i}") for i in range(4)]
+    with StubEndpoint(behavior) as stub:
+        cfg = make_cfg(stub, base_url=_serve_tls(stub, *tls_files["localhost"]), max_retries=0)
+        for _ in range(2):  # the rerun has nothing to send and makes none
+            with JobState(tmp_path / "s", batch_fingerprint(items, cfg)) as state:
+                assert run_batch(items, cfg, 4, state) == [item.prompt for item in items]
+    assert stub.max_in_flight == 4
+    assert len(made) == 1
+
+
 def test_a_certificate_for_another_host_fails_the_call(tls_files):
     with StubEndpoint() as stub:
         base_url = _serve_tls(stub, *tls_files["elsewhere.test"])

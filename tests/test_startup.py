@@ -53,7 +53,7 @@ import json, sys
 from mtpipe.cli import build_parser
 build_parser()
 print(json.dumps([
-    [m for m in {HEAVY + PATH_ONLY!r} if m in sys.modules],
+    [m for m in {HEAVY + PATH_ONLY + ("logging",)!r} if m in sys.modules],
     [m for m in {TRACED_MODULES!r} if "mtpipe." + m not in sys.modules],
 ]))
 """
@@ -88,16 +88,18 @@ runs = [
 ]
 codes = [main(argv) for argv in runs]
 loaded = [m for m in {HEAVY + ("_hashlib",)!r} if m in sys.modules]
-codes.append(main([*runs[0], "--state", str(work / "step.state")]))
-print(json.dumps([codes, loaded, "_hashlib" in sys.modules]))
+state = ["--state", str(work / "step.state")]
+codes += [main([*runs[0], *state]), main([*runs[0], *state])]  # the second logs at INFO
+print(json.dumps([codes, loaded, "_hashlib" in sys.modules, "logging" in sys.modules]))
 """
 
 
-def test_corpus_and_eval_commands_load_no_numpy_or_http(tmp_path):
-    codes, loaded, hashed_under_state = _child(_COMMANDS_CHILD, str(tmp_path))
-    assert codes == [0, 0, 0, 0, 0]
+def test_corpus_and_eval_commands_load_no_numpy_http_or_logging(tmp_path):
+    codes, loaded, hashed_under_state, logging_loaded = _child(_COMMANDS_CHILD, str(tmp_path))
+    assert codes == [0, 0, 0, 0, 0, 0]
     assert loaded == []
     assert hashed_under_state
+    assert not logging_loaded
 
 
 _CHECKPOINT_CHILD = """
@@ -120,14 +122,15 @@ codes = [
     main(["merge", "--a", str(work / "q.safetensors"), "--b", str(work / "b.safetensors"),
           "--out", str(work / "m.safetensors")]),
 ]
-print(json.dumps([codes, "_hashlib" in sys.modules]))
+print(json.dumps([codes, "_hashlib" in sys.modules, "logging" in sys.modules]))
 """
 
 
-def test_quantize_and_merge_hash_nothing(tmp_path):
-    codes, hashed = _child(_CHECKPOINT_CHILD, str(tmp_path))
+def test_quantize_and_merge_hash_and_log_nothing(tmp_path):
+    codes, hashed, logging_loaded = _child(_CHECKPOINT_CHILD, str(tmp_path))
     assert codes == [0, 0]
     assert not hashed
+    assert not logging_loaded
 
 
 _ENDPOINT_CHILD = """
@@ -147,12 +150,12 @@ codes = [
     main(["judge", "--in", str(work / "pairs.jsonl"), "--accepted", str(work / "accepted.jsonl"),
           "--stats", str(work / "stats.json"), "--state", str(work / "j.state"), *net]),
 ]
-print(json.dumps([codes, [m for m in ("http.client", "ssl", "email", "urllib.request")
+print(json.dumps([codes, [m for m in ("http.client", "ssl", "email", "urllib.request", "logging")
                           if m in sys.modules]]))
 """
 
 
-def test_an_endpoint_job_over_http_loads_no_tls_mail_or_urllib_request(tmp_path):
+def test_an_endpoint_job_over_http_loads_no_tls_mail_urllib_request_or_logging(tmp_path):
     # The proxy lookup loads urllib.request only when a proxy is set.
     env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
     outputs = []
@@ -171,6 +174,25 @@ def test_an_endpoint_job_over_http_loads_no_tls_mail_or_urllib_request(tmp_path)
                             for name in ("tuples.jsonl", "accepted.jsonl", "stats.json")])
         assert len(stub.requests) == 2 * (6 * 2 + 6)
     assert outputs[0] == outputs[1]
+
+
+_ROOT_LOGGER_CHILD = """
+import json, logging, sys
+from mtpipe.cli import main
+codes = [main(["mix", "--source", "bad", "--out", sys.argv[1]]),
+         main(["-v", "mix", "--source", "bad", "--out", sys.argv[1]])]
+root = logging.getLogger()
+print(json.dumps([codes, root.handlers == [], logging.getLevelName(root.level)]))
+"""
+
+
+def test_main_leaves_the_host_root_logger_as_it_was(tmp_path):
+    # A host that imported logging and set up nothing: main adds no handler
+    # and sets no level, with or without -v.
+    codes, no_handlers, level = _child(_ROOT_LOGGER_CHILD, str(tmp_path / "o"))
+    assert codes == [2, 2]
+    assert no_handlers
+    assert level == "WARNING"
 
 
 _SAMPLING_CHILD = """

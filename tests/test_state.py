@@ -161,7 +161,7 @@ def test_unicode_payloads_survive(tmp_path):
     [b"\xff\xfe", b"[]", b'{"fingerprint": "fp", "journal_pos": "x"}'],
     ids=["not-utf8", "json-list", "journal-pos-not-a-number"],
 )
-def test_unreadable_state_file_is_state_corrupt(tmp_path, caplog, content):
+def test_unreadable_state_file_is_state_corrupt(tmp_path, capsys, content):
     path = tmp_path / "job.state"
     path.write_bytes(content)
     with pytest.raises(StateCorrupt, match="unreadable state file"):
@@ -172,12 +172,12 @@ def test_unreadable_state_file_is_state_corrupt(tmp_path, caplog, content):
     out = tmp_path / "kept.jsonl"
     args = ["filter-code", "--in", str(records), "--out", str(out), "--state", str(path)]
     assert cli.main(args) == 1
-    [record] = caplog.records
-    assert "unreadable state file" in record.getMessage()
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR mtpipe: ") and "unreadable state file" in line
     assert not out.exists()
 
 
-def test_a_run_on_a_state_another_run_holds_is_busy_and_sends_nothing(tmp_path, caplog):
+def test_a_run_on_a_state_another_run_holds_is_busy_and_sends_nothing(tmp_path, capsys):
     pairs = tmp_path / "pairs.jsonl"
     pipeline.write_parallel_pairs(pairs, [("نعم", "yes"), ("لا", "no")])
     state = tmp_path / "judge.state"
@@ -189,7 +189,7 @@ def test_a_run_on_a_state_another_run_holds_is_busy_and_sends_nothing(tmp_path, 
                          "--base-url", stub.base_url, "--model", "m", "--state", str(state)])
     assert code == 1
     assert stub.requests == []
-    assert f"state {state} is in use by another run" in caplog.text
+    assert capsys.readouterr().err == f"ERROR mtpipe: state {state} is in use by another run\n"
     assert not accepted.exists() and not state.exists()
 
 

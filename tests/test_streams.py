@@ -87,7 +87,7 @@ def test_merge_in_place_matches_a_separate_output(tmp_path, rng):
 
 @pytest.mark.parametrize("command", ["quantize", "merge"])
 def test_a_payload_truncated_after_open_fails_with_no_output(tmp_path, rng, monkeypatch,
-                                                             caplog, command):
+                                                             capsys, command):
     a, b = tmp_path / "a.safetensors", tmp_path / "b.safetensors"
     for path in (a, b):
         tio.write_checkpoint(_checkpoint(rng, (DType.F32, DType.F16, DType.BF16)), path)
@@ -103,7 +103,8 @@ def test_a_payload_truncated_after_open_fails_with_no_output(tmp_path, rng, monk
     args = (["quantize", "--in", str(a), "--skip", "q8*"] if command == "quantize"
             else ["merge", "--a", str(a), "--b", str(b)])
     assert cli.main([*args, "--out", str(out)]) == 1
-    assert "ends 3 bytes short" in caplog.text
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("ERROR mtpipe: ") and "ends 3 bytes short" in line
     assert sorted(p.name for p in tmp_path.iterdir()) == [a.name, b.name]
 
 
