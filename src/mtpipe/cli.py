@@ -266,7 +266,9 @@ def cmd_mix(args: argparse.Namespace) -> int:
         try:
             name, rest = raw.split("=", 1)
             path, count = rest.rsplit("=", 1)
-            sources.append(pipeline.MixSource(name, Path(path), int(count)))
+            if (expected := int(count)) < 0:
+                raise ValueError(f"negative count {expected}")
+            sources.append(pipeline.MixSource(name, Path(path), expected))
         except ValueError as exc:
             raise UsageError(f"--source must be NAME=PATH=COUNT, got {raw!r}") from exc
         try:

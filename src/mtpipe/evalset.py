@@ -76,11 +76,6 @@ def sample_questions(items: Sequence[T], n: int, seed: int) -> list[T]:
     return pool[:n]
 
 
-def shuffled(items: Sequence[T], seed: int) -> list[T]:
-    """Full deterministic shuffle (the n == len case of the sampler)."""
-    return sample_questions(items, len(items), seed)
-
-
 @dataclass(frozen=True)
 class AlignedPair:
     en: QuestionItem

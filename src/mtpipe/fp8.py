@@ -40,13 +40,6 @@ def _decode_one(code: int) -> float:
 DECODE_TABLE = np.array([_decode_one(c) for c in range(256)], dtype=np.float64)
 
 
-def decode_e4m3(code: int) -> float:
-    """Decode one 8-bit code to its float value (NaN for the NaN codes)."""
-    if not 0 <= code <= 255:
-        raise ValueError(f"code out of byte range: {code}")
-    return float(DECODE_TABLE[code])
-
-
 def decode_array(codes: np.ndarray) -> np.ndarray:
     """Vectorized decode of a uint8 code array to float64."""
     return DECODE_TABLE[np.asarray(codes, dtype=np.uint8)]
@@ -93,11 +86,6 @@ def encode_array(values: np.ndarray, out: np.ndarray | None = None, *,
     codes |= sign
     np.copyto(codes, NAN_CODE, where=np.isnan(v, out=mask))
     return codes.reshape(shape) if out is None else out
-
-
-def encode_e4m3(x: float) -> int:
-    """Encode one float to its nearest 8-bit code (see encode_array)."""
-    return int(encode_array(np.array([x]))[0])
 
 
 def compute_scale(amax: float, name: str) -> float:

@@ -182,7 +182,11 @@ class _Connection:
             if line in (b"\r\n", b"\n", b""):
                 return fields
             name, _, value = line.partition(b":")
-            fields[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            if name == b"content-length" and fields.get(name, value) != value:  # RFC 9112 6.3
+                raise OSError(f"conflicting Content-Length {fields[name][:40]!r} "
+                              f"and {value[:40]!r}")
+            fields[name] = value
         raise OSError(f"more than {_FIELD_CAP} header lines")
 
     def _head(self) -> tuple[int, dict[bytes, bytes], bool]:

@@ -473,6 +473,6 @@ def mix_corpora(
         counts.append((source.name, n))
 
     if shuffle_seed is not None:
-        lines = evalset.shuffled(lines, shuffle_seed)
+        lines = evalset.sample_questions(lines, len(lines), shuffle_seed)
 
     return MixManifest(counts=tuple(counts), total=write_lines(out_path, lines))

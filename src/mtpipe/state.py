@@ -5,7 +5,9 @@ last known-good journal length, and an append-only journal of completed items
 (one JSON line per item). The journal is fsynced before each state file
 update. On resume the journal is read line by line; a torn tail past the
 recorded position is truncated, and a whole last entry that lost its newline
-gets it back. An item recorded in the journal is never re-sent.
+gets it back. A journal damaged or cut short before that position, or one
+with entries but no state file, is ``StateCorrupt`` and left as it is. An
+item recorded in the journal is never re-sent.
 
 A job holds an exclusive ``flock`` on its journal from open to close, so a
 second run on the same state stops with ``StateBusy`` before it sends a
@@ -146,10 +148,13 @@ class JobState:
                 raise StateMismatch(
                     f"state at {self.state_path} was created for a different run"
                 )
+        elif os.fstat(self._journal.fileno()).st_size:  # empty: killed before its first checkpoint
+            raise StateCorrupt(f"journal {self.journal_path} has no state file "
+                               f"{self.state_path}; delete both to start over")
 
         journal = self._journal
         journal.seek(0)
-        pos = 0
+        pos, damage = 0, None
         for line in journal:
             try:
                 entry = json.loads(line.decode("utf-8"))
@@ -157,16 +162,17 @@ class JobState:
                 if type(index) is not int or not isinstance(text, str):
                     raise TypeError(f"entry {entry!r} is not an int index and a str text")
             except (ValueError, KeyError, TypeError) as exc:  # UnicodeDecodeError too
-                if pos < recorded_pos:
-                    raise StateCorrupt(f"journal {self.journal_path} damaged before its "
-                                       f"recorded position {recorded_pos}") from exc
-                journal.truncate(pos)  # torn tail from an interrupted write
+                damage = exc
                 break
             self.completed[index] = text
             pos += len(line)
-        else:
-            if pos and not line.endswith(b"\n"):  # a whole last entry lost its newline
-                journal.write(b"\n")
+        if pos < recorded_pos:  # damaged or cut short before the last checkpoint's position
+            raise StateCorrupt(f"journal {self.journal_path} damaged before its "
+                               f"recorded position {recorded_pos}") from damage
+        if damage is not None:
+            journal.truncate(pos)  # torn tail from an interrupted write
+        elif pos and not line.endswith(b"\n"):  # a whole last entry lost its newline
+            journal.write(b"\n")
         journal.seek(0, os.SEEK_END)  # appends land at the end; tell() is the length
 
     def record(self, index: int, text: str) -> None:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mtpipe import evalset, fp8, merge, metrics, pipeline, quant
+from mtpipe import evalset, merge, metrics, pipeline, quant
 from mtpipe.inference import BatchItem, ExhaustedRetries, batch_fingerprint, run_batch
 from mtpipe.state import JobState
 from mtpipe.tensorio import (
@@ -37,6 +37,7 @@ from oracles import (
     naive_slerp,
 )
 from stubserver import StubEndpoint
+from test_fp8 import decode_e4m3, encode_e4m3
 from test_metrics import random_corpus, random_segment
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -60,7 +61,7 @@ def test_criterion_1_e4m3_exactness():
             if e4m3_exact_value(code) is None:
                 continue
             finite += 1
-            assert fp8.encode_e4m3(fp8.decode_e4m3(code)) == code
+            assert encode_e4m3(decode_e4m3(code)) == code
         # 254 finite codes exist (127 per sign); that covers the required 240
         # with exponent fields below 1111 plus the largest-magnitude row.
         assert finite == 254

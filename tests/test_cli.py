@@ -733,6 +733,24 @@ def test_local_step_state_of_another_run_exits_one(tmp_path, capsys, command):
     assert "created for a different run" in message
 
 
+def test_local_step_whose_state_file_was_deleted_does_not_take_the_old_journal(tmp_path, capsys):
+    state = tmp_path / "step.state"
+    journal = Path(str(state) + ".journal")
+    args = _local_step_args(tmp_path, "filter-code") + ["--state", str(state)]
+    assert run_cli(args) == 0
+    out = tmp_path / "out.jsonl"
+    first, recorded = out.read_bytes(), journal.read_bytes()
+    capsys.readouterr()
+
+    state.unlink()
+    pipeline.write_records(tmp_path / "records.jsonl", [{"instruction": "new", "response": "x"}])
+    assert run_cli(args) == 1
+    [message] = logged(capsys)
+    assert str(journal) in message and str(state) in message
+    assert out.read_bytes() == first and journal.read_bytes() == recorded
+    assert not state.exists()
+
+
 def test_local_step_upgrades_an_old_done_marker(tmp_path, capsys):
     state = tmp_path / "step.state"
     args = _local_step_args(tmp_path, "filter-code") + ["--state", str(state)]
@@ -864,8 +882,9 @@ def test_merge_invalid_eps_exits_two(tmp_path, rng, capsys):
     "args, message",
     [(["merge", "--a", "a", "--b", "b", "--t", "1.5"], "t must lie in [0, 1], got 1.5"),
      (["merge", "--a", "a", "--b", "b", "--t", "nan"], "t must lie in [0, 1], got nan"),
-     (["mix", "--source", "nonsense"], "--source must be NAME=PATH=COUNT, got 'nonsense'")],
-    ids=["merge-t-above-one", "merge-t-nan", "mix-source"],
+     (["mix", "--source", "nonsense"], "--source must be NAME=PATH=COUNT, got 'nonsense'"),
+     (["mix", "--source", "s=p.jsonl=-1"], "--source must be NAME=PATH=COUNT, got 's=p.jsonl=-1'")],
+    ids=["merge-t-above-one", "merge-t-nan", "mix-source", "mix-negative-count"],
 )
 def test_rejected_flag_exits_two_and_writes_nothing(tmp_path, monkeypatch, capsys, args, message):
     monkeypatch.chdir(tmp_path)

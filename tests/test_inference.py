@@ -747,6 +747,22 @@ def test_a_broken_reply_is_retried_without_a_free_resend_then_exhausts(reply):
     assert isinstance(cause, OSError) and not isinstance(cause, ConnectionError)
 
 
+def test_conflicting_content_lengths_are_a_framing_fault_and_identical_ones_are_not():
+    body = _body("p")
+    conflicting = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: %d\r\n\r\n%s" % (
+        len(body), body)
+    with RawEndpoint(lambda n, p: (conflicting, "close")) as raw:
+        with pytest.raises(ExhaustedRetries) as err:
+            chat_complete(make_cfg(raw, max_retries=0), "p")
+        assert len(raw.heads) == 1
+    cause = err.value.__cause__
+    assert isinstance(cause, OSError) and not isinstance(cause, ConnectionError)
+    assert "Content-Length" in str(cause)
+    identical = _reply("p", b"HTTP/1.1 200 OK", b"Content-Length: %d" % len(body))
+    with RawEndpoint(lambda n, p: (identical, "close")) as raw:
+        assert chat_complete(make_cfg(raw, max_retries=0), "p") == "p"
+
+
 def test_a_base_url_path_reaches_the_server_verbatim():
     with RawEndpoint(lambda n, p: (_reply(p), "keep")) as raw:
         assert chat_complete(make_cfg(raw, base_url=raw.base_url + "/a%2Fb%25s/"), "p") == "p"

@@ -3,11 +3,13 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtpipe import cli, pipeline
 from mtpipe.state import JobState, StateBusy, StateCorrupt, StateMismatch, run_fingerprint
@@ -69,7 +71,10 @@ def test_unterminated_but_complete_final_line_is_kept(tmp_path):
 def test_entry_recorded_after_a_restored_newline_survives_the_next_resume(tmp_path):
     path = tmp_path / "job.state"
     journal = path.with_name(path.name + ".journal")
-    journal.write_bytes(b'{"i": 0, "text": "a"}\n{"i": 1, "text": "b"}')
+    with JobState(path, "fp") as state:
+        state.record(0, "a")
+    with open(journal, "ab") as fh:
+        fh.write(b'{"i": 1, "text": "b"}')
     with JobState(path, "fp") as state:
         state.record(2, "c")
     with JobState(path, "fp") as state:
@@ -91,6 +96,78 @@ def test_damage_before_the_recorded_position_is_state_corrupt(tmp_path):
         JobState(path, "fp")
     assert journal.read_bytes() == bytes(raw)
     assert path.read_bytes() == meta
+
+
+def test_a_journal_without_its_state_file_is_state_corrupt(tmp_path):
+    path = tmp_path / "job.state"
+    journal = path.with_name(path.name + ".journal")
+    with JobState(path, "run-A") as state:
+        state.record(0, "reply from run A")
+    path.unlink()  # as a user clearing a StateMismatch might
+    recorded = journal.read_bytes()
+    with pytest.raises(StateCorrupt, match=re.escape(f"journal {journal} has no state file {path}")):
+        JobState(path, "run-B")
+    assert journal.read_bytes() == recorded and not path.exists()
+
+    journal.write_bytes(b"")  # a run killed before its first checkpoint
+    with JobState(path, "run-B") as state:
+        assert state.completed == {}
+
+
+_TEXTS = ["zero", "مرحبا", "", 'two "quoted"', "x" * 9, "نعم"]
+_RECORDED = 3  # entries the state file vouches for
+
+
+def _journal_past_its_checkpoint(directory: Path) -> tuple[Path, bytes, bytes, list[int]]:
+    """A job whose journal holds six entries but whose state file records the
+    end of the third, as a run killed between two checkpoints leaves it.
+    Returns the state path, the journal and state bytes, and each entry's end."""
+    path = directory / "job.state"
+    with JobState(path, "fp") as state:
+        for i in range(_RECORDED):
+            state.record(i, _TEXTS[i])
+    meta = path.read_bytes()
+    with JobState(path, "fp") as state:
+        for i in range(_RECORDED, len(_TEXTS)):
+            state.record(i, _TEXTS[i])
+    path.write_bytes(meta)
+    raw = path.with_name(path.name + ".journal").read_bytes()
+    ends = [n + 1 for n, byte in enumerate(raw) if byte == ord("\n")]
+    assert json.loads(meta)["journal_pos"] == ends[_RECORDED - 1]
+    return path, raw, meta, ends
+
+
+def _resume_after_cut(directory: Path, cut: int, garbage: bytes = b"") -> None:
+    path, raw, meta, ends = _journal_past_its_checkpoint(directory)
+    journal = path.with_name(path.name + ".journal")
+    damaged = raw[:cut] + garbage
+    journal.write_bytes(damaged)
+    if cut < ends[_RECORDED - 1]:
+        with pytest.raises(StateCorrupt, match="damaged before its recorded position"):
+            JobState(path, "fp")
+        assert journal.read_bytes() == damaged and path.read_bytes() == meta
+        return
+    # Entries wholly inside the cut survive; without garbage, so does one that
+    # lacks only its newline.
+    kept = sum(end <= cut + (not garbage) for end in ends)
+    with JobState(path, "fp") as state:
+        assert state.completed == dict(enumerate(_TEXTS[:kept]))
+    assert journal.read_bytes() == raw[: ends[kept - 1]]
+    assert json.loads(path.read_bytes())["journal_pos"] == ends[kept - 1]
+
+
+def test_a_journal_cut_at_any_byte_resumes_its_whole_entries_or_is_state_corrupt(tmp_path):
+    _, raw, _, _ = _journal_past_its_checkpoint(tmp_path / "probe")
+    for cut in range(len(raw) + 1):
+        _resume_after_cut(tmp_path / str(cut), cut)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(cut=st.integers(0, 200), garbage=st.binary(max_size=40))
+def test_garbage_after_a_cut_is_a_torn_tail_or_state_corrupt(tmp_path_factory, cut, garbage):
+    # A leading 0xff, which no UTF-8 line holds, makes the garbage damage the
+    # line it lands in, whatever follows. A cut past the end keeps it all.
+    _resume_after_cut(tmp_path_factory.mktemp("cut"), cut, b"\xff" + garbage)
 
 
 @pytest.mark.parametrize("entry", [b'{"i": 0, "text": 5}', b'{"i": true, "text": "x"}',
