@@ -154,7 +154,13 @@ class _Connection:
         self.sock = self.reader = None
 
     def _connect(self) -> None:
-        self.sock = socket.create_connection(self.address, self.timeout)
+        host, port = self.address
+        # An ASCII host goes to the resolver as bytes: as a str it would load the
+        # IDNA codec, and a name the codec rejects (a..b) would raise UnicodeError.
+        # A proxy setting with no host (http://:3128) leaves None, the loopback.
+        if host is not None and host.isascii():
+            host = host.encode()
+        self.sock = socket.create_connection((host, port), self.timeout)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if self.tunnel:
             connect = f"CONNECT {self.tunnel} HTTP/1.1\r\nHost: {self.tunnel}\r\n\r\n"

@@ -14,8 +14,12 @@ second run on the same state stops with ``StateBusy`` before it sends a
 request. The lock is advisory and may not hold across NFS; the kernel drops
 it when its holder dies, even by ``kill -9``.
 
-Hashing is here alone, and only a run that keeps job state does it:
-``run_fingerprint`` and ``_file_digest`` import ``hashlib`` when called.
+Hashing is here alone, and only a run that keeps job state does it. Its
+SHA-256 comes from CPython's built-in module (``_sha2``, or ``_sha256`` before
+3.12), not from ``hashlib``, whose ``_hashlib`` maps OpenSSL's libcrypto
+(+3.5 MB of RSS) for a few hash calls per job; only a build that has neither
+module falls back to ``hashlib``. The built-in hash is the same function, so
+every digest, and every state file, keeps its bytes.
 """
 
 from __future__ import annotations
@@ -83,11 +87,21 @@ def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
         os.close(directory)
 
 
+def _sha256():
+    """A new SHA-256 object from the interpreter's built-in module."""
+    try:
+        from _sha2 import sha256  # 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # 3.10 and 3.11
+        except ImportError:  # a build without either
+            from hashlib import sha256
+    return sha256()
+
+
 def run_fingerprint(parts: Iterable[str]) -> str:
     """Hash a sequence of strings into a run identity."""
-    import hashlib
-
-    digest = hashlib.sha256()
+    digest = _sha256()
     for part in parts:
         blob = part.encode("utf-8")
         digest.update(len(blob).to_bytes(8, "little"))
@@ -96,9 +110,7 @@ def run_fingerprint(parts: Iterable[str]) -> str:
 
 
 def _file_digest(path: str | Path) -> str:
-    import hashlib
-
-    digest = hashlib.sha256()
+    digest = _sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)

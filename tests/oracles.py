@@ -8,7 +8,9 @@ instead of floats) so agreement is meaningful.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 import unicodedata
 from fractions import Fraction
 
@@ -320,3 +322,18 @@ def naive_looks_like_code(text: str, min_code_lines: int = 3, symbol_ratio: floa
         if count / len(text) >= symbol_ratio:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Run fingerprint, framed in one buffer and hashed by hashlib
+# ---------------------------------------------------------------------------
+
+
+def naive_fingerprint(parts) -> str:
+    """sha256 hex of every part as a u64 little-endian byte length followed by
+    its UTF-8 bytes, the whole message built first and hashed in one call."""
+    message = bytearray()
+    for part in parts:
+        blob = bytes(part, "utf-8")
+        message += struct.pack("<Q", len(blob)) + blob
+    return hashlib.sha256(bytes(message)).hexdigest()

@@ -867,6 +867,27 @@ def test_a_bad_endpoint_flag_is_a_usage_error_before_the_input_is_read(tmp_path,
     assert not (tmp_path / "s").exists() and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("host", ["a..b", ".a", "x" * 64 + ".example"],
+                         ids=["empty-label", "leading-dot", "64-byte-label"])
+@pytest.mark.parametrize("command, out", [("translate-corpus", "--out"), ("judge", "--accepted")],
+                         ids=["translate-corpus", "judge"])
+def test_a_host_no_resolver_can_look_up_is_one_error_line(tmp_path, command, out, host):
+    # The IDNA codec rejects these names with a UnicodeError; as bytes they
+    # reach the resolver, whose OSError is an attempt that fails.
+    pipeline.write_records(tmp_path / "in.jsonl", [{"instruction": "a", "response": "b",
+                                                    "ar": "أ", "en": "a"}])
+    proc = subprocess.run(
+        [sys.executable, "-m", "mtpipe.cli", command, "--in", "in.jsonl", out, "o.jsonl",
+         "--state", "s", "--base-url", f"http://{host}:1", "--model", "m", "--max-retries", "0"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("ERROR mtpipe: gave up after 1 attempts: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not (tmp_path / "o.jsonl").exists()
+
+
 def test_merge_invalid_eps_exits_two(tmp_path, rng, capsys):
     a = tmp_path / "a.safetensors"
     _write_checkpoint(a, rng)

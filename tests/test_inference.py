@@ -539,6 +539,16 @@ def test_http_proxy_carries_the_request(monkeypatch):
         assert stub.requests == ["via proxy"]
 
 
+def test_a_proxy_setting_without_a_host_reaches_the_loopback(monkeypatch):
+    # http://:PORT leaves the proxy host None, which the resolver takes as the loopback.
+    _clear_proxy_env(monkeypatch)
+    with StubEndpoint() as stub:
+        monkeypatch.setenv("HTTP_PROXY", stub.base_url.replace("127.0.0.1", ""))
+        cfg = make_cfg(stub, base_url="http://upstream.invalid:8000", max_retries=0)
+        assert chat_complete(cfg, "via proxy") == "via proxy"
+        assert stub.requests == ["via proxy"]
+
+
 def test_no_proxy_host_is_reached_directly(monkeypatch):
     _clear_proxy_env(monkeypatch)
     monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # nothing listens

@@ -1,6 +1,7 @@
 """The numpy-free command chain under every other supported Python found on
-this host: each output matches the running interpreter's byte for byte,
-nothing warns under ``-W error``, and ``import mtpipe.cli`` loads no numpy.
+this host: each output, job state files included, matches the running
+interpreter's byte for byte, nothing warns under ``-W error``, and ``import
+mtpipe.cli`` loads no numpy.
 
 Other interpreters are looked for in fixed places only: the pyenv versions
 directory (``$PYENV_ROOT``, by default ``~/.pyenv``) and ``python3.X`` on
@@ -132,8 +133,10 @@ def _chain(exe: str, inputs: Path, work: Path, base_url: str) -> dict[str, str]:
         result[f"{command} stdout"] = proc.stdout
         result[f"{command} forks"] = proc.stderr.splitlines()[-1]
     for path in sorted(work.rglob("*")):
-        if path.is_file() and not path.name.endswith((".state", ".journal")):
-            # Job state records the completion order, which the threads decide.
+        if path.is_file() and not path.name.endswith(".journal"):
+            # A journal records the completion order, which the threads decide.
+            # A state file holds the run fingerprint, so its bytes pin one
+            # SHA-256 across the interpreters' built-in hash modules.
             result[str(path.relative_to(work))] = hashlib.sha256(path.read_bytes()).hexdigest()
     return result
 

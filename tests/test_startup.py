@@ -3,6 +3,7 @@ reads ``sys.modules["mtpipe.<m>"]`` for every submodule."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -18,13 +19,17 @@ import pytest
 import mtpipe
 from mtpipe import cli
 
+from oracles import naive_fingerprint
 from stubserver import StubEndpoint
 
 ROOT = Path(__file__).resolve().parents[1]
 HEAVY = ("numpy", "http.client", "ssl", "urllib.request")
-# Standard modules only some paths load: hashing in a run that keeps job
-# state, dataclasses in the submodules that define data classes.
-PATH_ONLY = ("hashlib", "_hashlib", "dataclasses")
+# No command loads hashlib, nor _hashlib, which maps OpenSSL's libcrypto: job
+# state hashes with the interpreter's built-in SHA-256.
+HASHLIB = ("hashlib", "_hashlib")
+# Standard modules only some paths load: dataclasses in the submodules that
+# define data classes.
+PATH_ONLY = ("dataclasses",)
 
 
 def _load_spans():
@@ -53,7 +58,7 @@ import json, sys
 from mtpipe.cli import build_parser
 build_parser()
 print(json.dumps([
-    [m for m in {HEAVY + PATH_ONLY + ("logging",)!r} if m in sys.modules],
+    [m for m in {HEAVY + HASHLIB + PATH_ONLY + ("logging",)!r} if m in sys.modules],
     [m for m in {TRACED_MODULES!r} if "mtpipe." + m not in sys.modules],
 ]))
 """
@@ -87,19 +92,21 @@ runs = [
      "--outputs", str(work / "outputs.txt"), "--name", "x"],
 ]
 codes = [main(argv) for argv in runs]
-loaded = [m for m in {HEAVY + ("_hashlib",)!r} if m in sys.modules]
 state = ["--state", str(work / "step.state")]
 codes += [main([*runs[0], *state]), main([*runs[0], *state])]  # the second logs at INFO
-print(json.dumps([codes, loaded, "_hashlib" in sys.modules, "logging" in sys.modules]))
+print(json.dumps([codes, [m for m in {HEAVY + HASHLIB + ("logging",)!r} if m in sys.modules]]))
 """
 
 
 def test_corpus_and_eval_commands_load_no_numpy_http_or_logging(tmp_path):
-    codes, loaded, hashed_under_state, logging_loaded = _child(_COMMANDS_CHILD, str(tmp_path))
+    codes, loaded = _child(_COMMANDS_CHILD, str(tmp_path))
     assert codes == [0, 0, 0, 0, 0, 0]
     assert loaded == []
-    assert hashed_under_state
-    assert not logging_loaded
+    # The run under --state hashed all the same: its input, then its parts.
+    digest = hashlib.sha256((tmp_path / "records.jsonl").read_bytes()).hexdigest()
+    parts = ["filter-code", digest, "3", "0.3", str(tmp_path / "kept.jsonl")]
+    assert json.loads((tmp_path / "step.state").read_text())["fingerprint"] == \
+        naive_fingerprint(parts)
 
 
 _CHECKPOINT_CHILD = """
@@ -150,13 +157,16 @@ codes = [
     main(["judge", "--in", str(work / "pairs.jsonl"), "--accepted", str(work / "accepted.jsonl"),
           "--stats", str(work / "stats.json"), "--state", str(work / "j.state"), *net]),
 ]
-print(json.dumps([codes, [m for m in ("http.client", "ssl", "email", "urllib.request", "logging")
+print(json.dumps([codes, [m for m in ("http.client", "ssl", "email", "urllib.request", "logging",
+                                      "hashlib", "_hashlib", "encodings.idna")
                           if m in sys.modules]]))
 """
 
 
 def test_an_endpoint_job_over_http_loads_no_tls_mail_urllib_request_or_logging(tmp_path):
-    # The proxy lookup loads urllib.request only when a proxy is set.
+    # The proxy lookup loads urllib.request (and with it hashlib) only when a
+    # proxy is set. Either way the resolver gets the host as ASCII bytes, so
+    # the IDNA codec is not loaded.
     env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
     outputs = []
     def reply(prompt, nth):
@@ -169,7 +179,10 @@ def test_an_endpoint_job_over_http_loads_no_tls_mail_urllib_request_or_logging(t
             codes, loaded = _child(_ENDPOINT_CHILD, str(work), stub.base_url,
                                    env={**env, "HTTP_PROXY": proxy} if proxy else env)
             assert codes == [0, 0]
-            assert ("urllib.request" in loaded) if proxy else loaded == []
+            if proxy:
+                assert "urllib.request" in loaded and "encodings.idna" not in loaded
+            else:
+                assert loaded == []
             outputs.append([(work / name).read_bytes()
                             for name in ("tuples.jsonl", "accepted.jsonl", "stats.json")])
         assert len(stub.requests) == 2 * (6 * 2 + 6)

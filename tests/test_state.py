@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import fcntl
+import hashlib
 import json
 import os
 import re
@@ -9,11 +10,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mtpipe import cli, pipeline
-from mtpipe.state import JobState, StateBusy, StateCorrupt, StateMismatch, run_fingerprint
+from mtpipe.state import (JobState, StateBusy, StateCorrupt, StateMismatch, _file_digest,
+                          _sha256, run_fingerprint)
 
+from oracles import naive_fingerprint
 from stubserver import StubEndpoint
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,6 +26,42 @@ def test_fingerprint_sensitive_to_parts_and_boundaries():
     assert run_fingerprint(["a", "b"]) != run_fingerprint(["ab"])
     assert run_fingerprint(["a", "b"]) != run_fingerprint(["b", "a"])
     assert run_fingerprint(["a", "b"]) == run_fingerprint(["a", "b"])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(parts=st.lists(st.text(max_size=40), max_size=8))
+@example(parts=[])
+@example(parts=[""])
+@example(parts=["", "", ""])
+@example(parts=["مرحبا", "naïve", "\x00"])
+@example(parts=["\U0001F600", "\U00010000\U0010FFFF", "a\U0001D11Eb"])
+def test_fingerprint_is_the_length_framed_sha256_of_its_parts(parts):
+    assert run_fingerprint(parts) == naive_fingerprint(parts)
+
+
+_FILE_SIZES = [0, 1, 2**20 - 1, 2**20, 2**20 + 1]  # around _file_digest's 1 MiB read
+
+
+@pytest.mark.parametrize("size", _FILE_SIZES)
+def test_file_digest_is_the_sha256_of_the_file(tmp_path, size):
+    path = tmp_path / "input"
+    path.write_bytes((bytes(range(251)) * (size // 251 + 1))[:size])
+    assert _file_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_without_the_built_in_hash_modules_hashlib_gives_the_same_digests(tmp_path, monkeypatch):
+    parts = ["filter-code", "\U0001F600 مرحبا", "", "0.3"]
+    files = []
+    for size in _FILE_SIZES:
+        files.append(tmp_path / str(size))
+        files[-1].write_bytes((bytes(range(251)) * (size // 251 + 1))[:size])
+    built_in = type(_sha256())
+    assert built_in.__module__ in ("_sha2", "_sha256")
+    expected = [run_fingerprint(parts)] + [_file_digest(path) for path in files]
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)  # import of it raises ImportError
+    assert type(_sha256()) is type(hashlib.sha256()) is not built_in
+    assert [run_fingerprint(parts)] + [_file_digest(path) for path in files] == expected
 
 
 def test_record_and_reload(tmp_path):
