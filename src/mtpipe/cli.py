@@ -84,7 +84,7 @@ def _endpoint_from(args: argparse.Namespace) -> tuple[inference.EndpointConfig, 
     if concurrency < 1:
         raise UsageError("concurrency must be at least 1")
     if not values.get("base_url") or not values.get("model"):
-        raise ToolError("an endpoint needs --base-url and --model (or config entries)")
+        raise UsageError("an endpoint needs --base-url and --model (config: base_url, model)")
     try:
         cfg = inference.EndpointConfig(
             model_name=values.pop("model"),

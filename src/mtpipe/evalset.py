@@ -9,7 +9,7 @@ bounded draws. No platform RNG is involved anywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TypeVar
 
@@ -112,7 +112,7 @@ def render_report_row(system_name: str, report: metrics.MetricReport) -> str:
 
 def report_to_json(system_name: str, report: metrics.MetricReport) -> str:
     """Full-precision machine-readable form of a report."""
-    return json.dumps({"system": system_name, **asdict(report)}, indent=2, sort_keys=True)
+    return json.dumps({"system": system_name, **vars(report)}, indent=2, sort_keys=True)
 
 
 def build_report(

@@ -97,7 +97,14 @@ _NEVER = threading.Event()  # the backoff of a call made outside run_batch's wor
 # \uXXXX-escaped JSON are a few MB, so a larger body is a misbehaving endpoint.
 _REPLY_CAP = 16 * 2**20
 _LINE_CAP, _FIELD_CAP = 65536, 100  # bytes per head line, lines per head: http.client's limits
-_STATUS_LINE = re.compile(rb"HTTP/1\.(\d) ([1-9]\d\d)\b")
+# Each line of a reply but its body, matched whole (RFC 9112 4, 5, 7.1); a bare LF
+# ends one too, bar the CRLF after chunk data (2.2). A field value is visible runs
+# joined by blanks, so a folded line or a space before the colon matches nothing.
+_VALUE = rb"(?:([\x21-\x7e\x80-\xff]+(?:[ \t]+[\x21-\x7e\x80-\xff]+)*)[ \t]*)?"
+_STATUS_LINE = re.compile(rb"(?:HTTP/1\.(\d) ([1-9]\d\d)(?: [^\r\n]*)?\r?\n)?")  # b"": closed
+_FIELD_LINE = re.compile(rb"(?:([!#$%&'*+.^_`|~0-9A-Za-z-]+):[ \t]*" + _VALUE + rb")?\r?\n")
+_CHUNK_LINE = re.compile(rb"([0-9A-Fa-f]+)[ \t]*(?:;[^\r\n]*)?\r?\n")  # extensions are ignored
+_CRLF = re.compile(rb"\r\n")
 
 
 class _Connection:
@@ -174,21 +181,21 @@ class _Connection:
             self.sock = self.context.wrap_socket(self.sock, server_hostname=self.tls)
         self.reader = self.sock.makefile("rb")
 
-    def _line(self) -> bytes:
-        line = self.reader.readline(_LINE_CAP + 1)
-        if len(line) > _LINE_CAP:
-            raise OSError(f"reply line over {_LINE_CAP} bytes")
-        return line
+    def _line(self, grammar: re.Pattern) -> re.Match:
+        """The next reply line, matched whole by ``grammar``; one over the cap lacks its LF."""
+        line = self.reader.readline(_LINE_CAP)
+        if not (match := grammar.fullmatch(line)):
+            raise OSError(f"bad reply line {line[:80]!r}")
+        return match
 
     def _fields(self) -> dict[bytes, bytes]:
         """Header (or trailer) fields up to the blank line, by lowercase name."""
         fields: dict[bytes, bytes] = {}
         for _ in range(_FIELD_CAP + 1):
-            line = self._line()
-            if line in (b"\r\n", b"\n", b""):
+            name, value = self._line(_FIELD_LINE).groups(b"")
+            if not name:  # the blank line
                 return fields
-            name, _, value = line.partition(b":")
-            name, value = name.strip().lower(), value.strip()
+            name = name.lower()
             if name == b"content-length" and fields.get(name, value) != value:  # RFC 9112 6.3
                 raise OSError(f"conflicting Content-Length {fields[name][:40]!r} "
                               f"and {value[:40]!r}")
@@ -197,15 +204,13 @@ class _Connection:
 
     def _head(self) -> tuple[int, dict[bytes, bytes], bool]:
         """Status, header fields, and whether the connection stays open after the reply."""
-        line = self._line()
-        if not line:  # closed unanswered, as after an idle timeout: a ConnectionError
+        status = self._line(_STATUS_LINE)
+        if not status[0]:  # closed unanswered, as after an idle timeout: a ConnectionError
             raise ConnectionResetError("the server closed the connection without a reply")
-        if not (match := _STATUS_LINE.match(line)):
-            raise OSError(f"bad status line {line[:80]!r}")
         fields = self._fields()
         tokens = {token.strip() for token in fields.get(b"connection", b"").lower().split(b",")}
-        keep = b"keep-alive" in tokens if match[1] == b"0" else b"close" not in tokens
-        return int(match[2]), fields, keep
+        keep = b"keep-alive" in tokens if status[1] == b"0" else b"close" not in tokens
+        return int(status[2]), fields, keep
 
     def _reply(self) -> tuple[int, bytes]:
         status, fields, keep = self._head()
@@ -229,17 +234,12 @@ class _Connection:
 
     def _chunked(self) -> bytes:
         pieces, total = [], 0
-        while True:
-            size = self._line().split(b";", 1)[0].strip()  # a chunk extension is ignored
-            if not size or size.strip(b"0123456789abcdefABCDEF"):
-                raise OSError(f"bad chunk size line {size[:40]!r}")
-            if not int(size, 16):
-                self._fields()  # the trailer
-                return b"".join(pieces)
-            pieces.append(self._body(int(size, 16), total))
-            total += len(pieces[-1])
-            if self.reader.read(2) != b"\r\n":
-                raise OSError("chunk data not followed by CRLF")
+        while size := int(self._line(_CHUNK_LINE)[1], 16):
+            pieces.append(self._body(size, total))
+            total += size
+            self._line(_CRLF)
+        self._fields()  # the trailer
+        return b"".join(pieces)
 
     def _body(self, size: int, total: int = 0) -> bytes:
         """The next ``size`` bytes of a body ``total`` bytes into it, refused past the cap."""

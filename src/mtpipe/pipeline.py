@@ -19,7 +19,7 @@ import re
 import sys
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -144,7 +144,7 @@ class FilterStats:
 
     def to_json(self) -> str:
         return json.dumps(
-            {**asdict(self), "acceptance_rate": self.acceptance_rate}, indent=2, sort_keys=True
+            {**vars(self), "acceptance_rate": self.acceptance_rate}, indent=2, sort_keys=True
         )
 
 

@@ -9,10 +9,12 @@ instead of floats) so agreement is meaningful.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import struct
 import unicodedata
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -337,3 +339,30 @@ def naive_fingerprint(parts) -> str:
         blob = bytes(part, "utf-8")
         message += struct.pack("<Q", len(blob)) + blob
     return hashlib.sha256(bytes(message)).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint container, parsed from the whole file in one read
+# ---------------------------------------------------------------------------
+
+
+def read_raw_checkpoint(path: Path) -> tuple[dict[str, tuple[str, list, bytes]], dict]:
+    """Parse the container format and check its offset table covers the data
+    section exactly; returns ({name: (dtype, shape, payload)}, metadata)."""
+    raw = Path(path).read_bytes()
+    (n,) = struct.unpack("<Q", raw[:8])
+    header = json.loads(raw[8:8 + n].decode("utf-8"))
+    data = raw[8 + n:]
+    metadata = header.pop("__metadata__", {})
+    width = {"F32": 4, "F16": 2, "BF16": 2, "F8_E4M3": 1}
+    tensors, cursor = {}, 0
+    # By both offsets: an empty tensor that begins where another does comes first.
+    for name, meta in sorted(header.items(), key=lambda kv: kv[1]["data_offsets"]):
+        begin, end = meta["data_offsets"]
+        if begin != cursor or end - begin != math.prod(meta["shape"]) * width[meta["dtype"]]:
+            raise ValueError(f"{path}: bad offsets for {name}")
+        cursor = end
+        tensors[name] = (meta["dtype"], meta["shape"], data[begin:end])
+    if cursor != len(data):
+        raise ValueError(f"{path}: offsets cover {cursor} of {len(data)} data bytes")
+    return tensors, metadata

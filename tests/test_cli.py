@@ -830,11 +830,13 @@ def test_config_value_of_the_wrong_type_exits_two(tmp_path, capsys):
      ["--base-url", "http://h:99999"], ["--base-url", "http://h:abc"], ["--timeout", "nan"],
      ["--backoff-base", "nan"], ["--timeout", "inf"], ["--timeout", "1e10"],
      ["--backoff-base", "inf"], ["--max-tokens", "0"], ["--max-tokens", "-5"],
-     ["--base-url", "http://h:1/a b"], ["--base-url", "http://bücher.example:1"]],
+     ["--base-url", "http://h:1/a b"], ["--base-url", "http://bücher.example:1"],
+     ["--base-url", ""], ["--model", ""]],
     ids=["timeout", "backoff-base", "max-retries", "concurrency", "base-url", "temperature",
          "base-url-port-range", "base-url-port-text", "timeout-nan", "backoff-base-nan",
          "timeout-inf", "timeout-past-max", "backoff-base-inf", "max-tokens-zero",
-         "max-tokens-negative", "base-url-space", "base-url-non-ascii"],
+         "max-tokens-negative", "base-url-space", "base-url-non-ascii", "base-url-missing",
+         "model-missing"],
 )
 def test_invalid_endpoint_flag_exits_two(tmp_path, capsys, flags):
     pairs_path = tmp_path / "pairs.jsonl"

@@ -7,8 +7,7 @@ status and body, and where either refuses it the package raises only
 ``OSError`` (a framing fault) or ``MalformedResponse`` (a body over the cap).
 The generator leaves out the constructs that both readers accept but read
 differently. Those, and the malformed framing that only ``http.client``
-accepts, are explicit cases in ``DIVERGENCES``, each with its reason; the
-malformed heads the package wrongly accepts are in ``KNOWN_DEFECTS``. Replies
+accepts, are explicit cases in ``DIVERGENCES``, each with its reason. Replies
 generated well-formed must be read by both, and by the package to their last
 byte, so that the next reply on the connection starts where they end.
 """
@@ -17,6 +16,7 @@ from __future__ import annotations
 
 import http.client
 import io
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,11 +186,30 @@ DIVERGENCES = {
     "transfer-encoding-trailing-space":
         (_CHUNKED.replace(b"chunked", b"chunked ") % b"3\r\nabc\r\n", (200, b"abc"),
          (200, b"3\r\nabc\r\n0\r\n\r\n")),
+    # RFC 9112 5: a field line is field-name ":" OWS field-value OWS.
     # http.client's header parser ends the head at a line with no colon and
-    # keeps no field after it; the package reads on to the blank line.
+    # keeps no field after it; the package refuses the line.
     "line-without-colon":
-        (b"HTTP/1.1 200 OK\r\nbogus\r\nContent-Length: 3\r\n\r\nabcdef", (200, b"abc"),
+        (b"HTTP/1.1 200 OK\r\nbogus\r\nContent-Length: 3\r\n\r\nabcdef", OSError,
          (200, b"abcdef")),
+    # RFC 9112 5.2: a line that starts with whitespace continues the field
+    # before it (obs-fold), and a recipient rejects it or unfolds it.
+    # http.client joins it on, so the length reads "3 x" and is dropped, or a
+    # folded-in "Content-Length" is no field; the package refuses the line.
+    "obs-fold-into-content-length":
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n x\r\n\r\nabcdef", OSError, (200, b"abcdef")),
+    "obs-fold-of-content-length":
+        (b"HTTP/1.1 200 OK\r\nX-Note: a\r\n Content-Length: 3\r\n\r\nabcdef", OSError,
+         (200, b"abcdef")),
+    # RFC 9112 5.1: no whitespace is allowed between a field name and its
+    # colon, and such a message is rejected. http.client keeps the space in
+    # the name, so the field is no Content-Length; the package refuses the line.
+    "space-before-colon":
+        (b"HTTP/1.1 200 OK\r\nContent-Length : 3\r\n\r\nabcdef", OSError, (200, b"abcdef")),
+    # RFC 9112 2.2, 5: a head ends with a blank line. http.client takes the
+    # close for the end of the head and of an empty body; the package reads
+    # the close mid-head as a cut-off reply, which is retried.
+    "head-cut-off-after-status-line": (b"HTTP/1.1 200 OK\r\n", OSError, (200, b"")),
     # RFC 9110 15.2: a client reads any number of 1xx replies before the final
     # one. http.client skips 100 only and returns any other 1xx as final.
     "interim-103":
@@ -201,41 +220,18 @@ DIVERGENCES = {
         (_CHUNKED.replace(b"200 OK", b"204 No Content") % b"3\r\nabc\r\n", (204, b""),
          (204, b"abc")),
     # RFC 9112 7.1: a chunk size is 1*HEXDIG and its data ends with CRLF.
-    # http.client parses the size with int(..., 16), which takes a sign and
-    # a 0x prefix, and discards the two bytes after the data unread.
+    # http.client parses the size with int(..., 16), which takes a sign, a 0x
+    # prefix and whitespace around it, and discards the two bytes after the
+    # data unread.
     "chunk-size-plus": (_CHUNKED % b"+3\r\nabc\r\n", OSError, (200, b"abc")),
     "chunk-size-0x": (_CHUNKED % b"0x3\r\nabc\r\n", OSError, (200, b"abc")),
+    "chunk-size-leading-space": (_CHUNKED % b" 3\r\nabc\r\n", OSError, (200, b"abc")),
     "chunk-data-without-crlf": (_CHUNKED % b"3\r\nabcXY", OSError, (200, b"abc")),
 }
 
 
-# Known defects, not accepted behaviour: the package reads each of these head
-# lines as a field of its own, so a Content-Length of 3 frames the body, where
-# the RFC has the recipient reject the message. The right reading is listed; a
-# fix turns these cases from expected failures into passes.
-KNOWN_DEFECTS = {
-    # RFC 9112 5.2: a line that starts with whitespace continues the field
-    # before it (obs-fold). http.client joins it on, so the length reads "3 x"
-    # and is dropped, or a folded-in "Content-Length" is no field.
-    "obs-fold-into-content-length":
-        (b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n x\r\n\r\nabcdef", OSError, (200, b"abcdef")),
-    "obs-fold-of-content-length":
-        (b"HTTP/1.1 200 OK\r\nX-Note: a\r\n Content-Length: 3\r\n\r\nabcdef", OSError,
-         (200, b"abcdef")),
-    # RFC 9112 5.1: no whitespace is allowed between a field name and its
-    # colon, and a server must reject such a message. http.client keeps the
-    # space in the name; the package strips it.
-    "space-before-colon":
-        (b"HTTP/1.1 200 OK\r\nContent-Length : 3\r\n\r\nabcdef", OSError, (200, b"abcdef")),
-}
-_DEFECT = pytest.mark.xfail(strict=True, raises=AssertionError,
-                            reason="obs-fold and whitespace before the colon are read as fields")
-
-
-@pytest.mark.parametrize("reply, by_us, by_http_client", [
-    *(pytest.param(*case, id=name) for name, case in DIVERGENCES.items()),
-    *(pytest.param(*case, id=name, marks=_DEFECT) for name, case in KNOWN_DEFECTS.items()),
-])
+@pytest.mark.parametrize("reply, by_us, by_http_client",
+                         [pytest.param(*case, id=name) for name, case in DIVERGENCES.items()])
 def test_each_known_divergence_from_http_client(reply, by_us, by_http_client):
     got = ours(reply)
     if isinstance(by_us, type):
@@ -243,3 +239,11 @@ def test_each_known_divergence_from_http_client(reply, by_us, by_http_client):
     else:
         assert got == by_us
     assert theirs(reply) == by_http_client
+
+
+def test_a_head_line_of_blanks_is_refused_in_linear_time():
+    # A field value holds blanks between its visible runs. A line of 65,000
+    # blanks that ends in a NUL must not make the grammar try each split of them.
+    started = time.monotonic()
+    assert type(ours(b"HTTP/1.1 200 OK\r\nX:" + b" " * 65000 + b"\x00\r\n\r\n")) is OSError
+    assert time.monotonic() - started < 1.0

@@ -757,6 +757,15 @@ def test_a_broken_reply_is_retried_without_a_free_resend_then_exhausts(reply):
     assert isinstance(cause, OSError) and not isinstance(cause, ConnectionError)
 
 
+def test_a_head_cut_off_by_the_close_is_retried_as_an_attempt():
+    # The close before the head's blank line is a cut-off reply, not an empty
+    # body: it costs an attempt, and the next one reads the whole reply.
+    cut = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+    with RawEndpoint(lambda n, p: (cut if n == 0 else _reply(p), "close")) as raw:
+        assert chat_complete(make_cfg(raw, max_retries=1), "ok") == "ok"
+        assert len(raw.heads) == 2
+
+
 def test_conflicting_content_lengths_are_a_framing_fault_and_identical_ones_are_not():
     body = _body("p")
     conflicting = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: %d\r\n\r\n%s" % (

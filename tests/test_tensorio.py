@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from mtpipe import fp8, tensorio as tio
 
+import oracles
 from conftest import random_checkpoint
 
 
@@ -286,3 +287,72 @@ def test_read_of_a_file_truncated_after_open_raises_io_failure(tmp_path):
         assert b"".join(map(bytes, src.pieces("a"))) == tensors["a"].data
         with pytest.raises(tio.IoFailure):
             list(src.pieces("b"))
+
+
+_WIDTH = {"F32": 4, "F16": 2, "BF16": 2, "F8_E4M3": 1}
+_ODD_VALUES = [None, True, -1, 0, 1, 2**64, 1.0, "", "F32", "F64", [], [0], [1, 1], [-1, 2],
+               [0, 2**64], {"a": "b"}, {"a": 1}]
+
+
+@st.composite
+def _mutated_checkpoints(draw) -> tuple[bytes, bool]:
+    """A checkpoint file assembled by hand, header entries and payloads each in
+    an order of their own, then maybe changed at one byte, one header field or
+    its length prefix; with whether it was left as assembled."""
+    names = draw(st.lists(st.text("ab_.é", min_size=1, max_size=3), max_size=4, unique=True))
+    specs = {}
+    for name in names:
+        dtype = draw(st.sampled_from(sorted(_WIDTH)))
+        shape = draw(st.lists(st.integers(0, 3), max_size=2))
+        size = _WIDTH[dtype] * int(np.prod(shape))
+        specs[name] = (dtype, shape, draw(st.binary(min_size=size, max_size=size)))
+    entries, data = {}, b""
+    for name in draw(st.permutations(names)):  # the data order
+        dtype, shape, payload = specs[name]
+        entries[name] = {"dtype": dtype, "shape": shape,
+                         "data_offsets": [len(data), len(data) + len(payload)]}
+        data += payload
+    header = {name: entries[name] for name in draw(st.permutations(names))}  # the header order
+    if draw(st.booleans()):
+        header["__metadata__"] = draw(st.dictionaries(st.text("xy", max_size=2),
+                                                      st.text("xy", max_size=2), max_size=2))
+    assembled = assemble(header, data)
+    change = draw(st.sampled_from(["none", "byte", "field", "prefix"]))
+    if change == "field" and header:
+        entry = header[draw(st.sampled_from(sorted(header)))]
+        key = draw(st.sampled_from(["dtype", "shape", "data_offsets", "x"]))
+        if key == "data_offsets" and key in entry and draw(st.booleans()):  # an end moved
+            entry[key][draw(st.integers(0, 1))] += draw(st.sampled_from([-1, 1]))
+        elif draw(st.booleans()):
+            entry[key] = draw(st.sampled_from(_ODD_VALUES))
+        else:
+            entry.pop(key, None)
+    raw = bytearray(assemble(header, data))
+    if change == "byte":
+        raw[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
+    elif change == "prefix":
+        raw[:8] = struct.pack("<Q", max(0, len(raw) - len(data) - 8 + draw(st.integers(-2, 2))))
+    return bytes(raw), raw == assembled
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=_mutated_checkpoints())
+def test_open_checkpoint_reads_what_an_independent_reader_reads_or_refuses(
+        tmp_path_factory, case):
+    raw, as_assembled = case
+    path = tmp_path_factory.getbasetemp() / "mutated.safetensors"
+    path.write_bytes(raw)
+    try:
+        expected = oracles.read_raw_checkpoint(path)
+    except Exception as exc:  # the oracle refuses anything it cannot parse
+        expected = exc
+    try:
+        with tio.open_checkpoint(path) as src:
+            payloads = {name: b"".join(map(bytes, src.pieces(name))) for name in src.tensors}
+            got = {name: (info.dtype.value, list(info.shape), payloads[name])
+                   for name, info in src.tensors.items()}, src.metadata
+    except (tio.HeaderTooLarge, tio.MalformedHeader, tio.OffsetViolation, tio.UnsupportedDType,
+            tio.IoFailure):
+        assert not as_assembled
+    else:
+        assert got == expected
